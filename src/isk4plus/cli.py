@@ -37,9 +37,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        # undecodable bytes become lone surrogates, caught just below
+        with open(path, "r", encoding="ascii",
+                  errors="surrogateescape") as fh:
+            text = fh.read()
+    if not text.isascii():
+        pos = next(i for i, ch in enumerate(text) if not ch.isascii())
+        lineno = text.count("\n", 0, pos) + 1
+        raise FormatError(f"line {lineno}: non-ASCII character")
+    return text
 
 
 def _out_stream(args):
@@ -57,7 +65,7 @@ def _input_graphs(path: str, fmt: str) -> list[Graph]:
     """One graph per graph6 line, or a single edgelist/DIMACS graph."""
     if fmt == "graph6":
         if path == "-":
-            lines = [ln.encode("ascii") for ln in sys.stdin.read().splitlines()]
+            lines = sys.stdin.read().splitlines()
         else:
             with open(path, "rb") as fh:
                 lines = fh.read().splitlines()
@@ -132,8 +140,7 @@ def _campaign_config(args) -> harness.CampaignConfig:
         if path is None:
             raise ValueError("--input is required with --source graph6")
         if path == "-":
-            lines = [ln.encode("ascii")
-                     for ln in sys.stdin.read().splitlines()]
+            lines = sys.stdin.read().splitlines()
             path = None
     print(f"seed={args.seed}", file=sys.stderr)
     return harness.CampaignConfig(

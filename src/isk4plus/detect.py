@@ -32,6 +32,22 @@ class SearchBudgetExceeded(RuntimeError):
     """An exact search ran out of its node budget before finishing."""
 
 
+def _spender(budget: int | None, what: str):
+    """One node counter for a whole search: each call spends a node, and
+    the call after budget nodes raises SearchBudgetExceeded (None: no
+    limit).  Sub-searches share it, so their total stays within budget."""
+    ticks = budget if budget is not None else -1
+
+    def spend():
+        nonlocal ticks
+        if ticks > 0:
+            ticks -= 1
+        elif ticks == 0:
+            raise SearchBudgetExceeded(what)
+
+    return spend
+
+
 class CliquePreconditionError(ValueError):
     """A clique larger than the promised bound was found; carries it."""
 
@@ -296,19 +312,18 @@ def find_isk4plus_oracle(G: Graph, *, ceiling: int = ORACLE_CEILING,
 # ---------------------------------------------------------------------------
 # direct branch-vertex search
 
-class _BudgetHit(Exception):
-    pass
-
-
 def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
                   min_total: int = 5) -> Detection:
     """Search for an induced K4 subdivision on >= min_total vertices.
 
     Enumerates ordered 4-sets of candidate branch vertices and grows the
     six connecting paths shortest-first with full backtracking, rejecting
-    any chord against already placed witness vertices.  Existence verdicts
-    match the subset oracle; the returned witness may differ.  Exhausting
-    the node budget yields status "budget", never a wrong verdict.
+    any chord against already placed witness vertices.  Each path draws
+    only on the vertices that a BFS from one endpoint reaches through
+    vertices adjacent to no other placed vertex; this cuts no branch that
+    could succeed.  Existence verdicts match the subset oracle; the
+    returned witness may differ.  Exhausting the node budget yields status
+    "budget", never a wrong verdict.
     """
     n = G.n
     adj = G.adj
@@ -317,15 +332,7 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
     cand = [v for v in range(n) if adj[v].bit_count() >= 3]
     if len(cand) < 4:
         return Detection(NONE)
-    ticks = budget if budget is not None else -1
-
-    def spend():
-        nonlocal ticks
-        if ticks > 0:
-            ticks -= 1
-        elif ticks == 0:
-            raise _BudgetHit
-
+    spend = _spender(budget, "detector search budget")
     try:
         for quad in combinations(cand, 4):
             spend()
@@ -333,7 +340,7 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
             if w is not None:
                 return Detection(FOUND, w)
         return Detection(NONE)
-    except _BudgetHit:
+    except SearchBudgetExceeded:
         return Detection(BUDGET)
 
 
@@ -366,23 +373,47 @@ def _search_quad(adj, quad, min_total, spend):
         i, j = open_pairs[k]
         x, y = quad[i], quad[j]
         xbit, ybit = 1 << x, 1 << y
-        # interiors may touch only their own endpoints among placed vertices
-        forbidden = placed & ~xbit & ~ybit
-        avail = full & ~placed
-        max_interior = avail.bit_count()
+        # interiors may touch only their own endpoints among placed vertices;
+        # blocked ORs the few placed rows instead of scanning free vertices
+        blocked = placed
+        t = placed & ~xbit & ~ybit
+        while t:
+            b = t & -t
+            t ^= b
+            blocked |= adj[b.bit_length() - 1]
+        usable = full & ~blocked
+        # BFS from x through usable.  Every valid interior lies in reached,
+        # and a shortest x-y path through usable is induced, so the first
+        # level whose frontier meets N(y) is the least feasible limit.
+        ay = adj[y]
+        reached = 0
+        frontier = xbit
+        level = 0
+        shortest = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & usable & ~reached
+            reached |= frontier
+            level += 1
+            if not shortest and frontier & ay:
+                shortest = level
+        if not shortest:
+            return False
 
         def extend(prev: int, depth: int, pathmask: int,
                    acc: tuple[int, ...], limit: int) -> bool:
             prevbit = 1 << prev
-            pool = adj[prev] & avail & ~pathmask
+            pool = adj[prev] & reached & ~pathmask
             while pool:
                 wbit = pool & -pool
                 pool ^= wbit
                 spend()
                 w = wbit.bit_length() - 1
                 aw = adj[w]
-                if aw & forbidden:
-                    continue
                 if depth > 1 and aw & xbit:
                     continue
                 if aw & (pathmask & ~prevbit):
@@ -400,7 +431,7 @@ def _search_quad(adj, quad, min_total, spend):
                         return True
             return False
 
-        for limit in range(1, max_interior + 1):
+        for limit in range(shortest, reached.bit_count() + 1):
             if extend(x, 1, 0, (), limit):
                 return True
         return False
@@ -511,14 +542,7 @@ def find_induced_biclique(G: Graph, s: int,
     cand = [v for v in range(n) if adj[v].bit_count() >= s]
     if len(cand) < 2 * s:
         return None
-    ticks = budget if budget is not None else -1
-
-    def spend():
-        nonlocal ticks
-        if ticks > 0:
-            ticks -= 1
-        elif ticks == 0:
-            raise SearchBudgetExceeded("induced biclique search budget")
+    spend = _spender(budget, "induced biclique search budget")
 
     def grow(start: int, chosen: int, k: int, common: int, stable_pool: int):
         if k == s:
@@ -587,22 +611,19 @@ def ramsey_extract_k44(G: Graph, w: BicliqueWitness,
 # ---------------------------------------------------------------------------
 # exact clique and chromatic numbers
 
-def _max_clique_in(adj, pool: int, budget: int | None = None
-                   ) -> tuple[int, int]:
+def _max_clique_in(adj, pool: int, spend=None) -> tuple[int, int]:
     """Exact maximum clique within a vertex mask: (size, clique mask).
 
-    Pivoting branch and bound on bitmask adjacency.
+    Pivoting branch and bound on bitmask adjacency; spend, if given, is
+    charged one node per branch.
     """
     best_size = 0
     best_mask = 0
-    ticks = budget if budget is not None else -1
 
     def expand(rmask: int, rsize: int, P: int):
-        nonlocal best_size, best_mask, ticks
-        if ticks == 0:
-            raise SearchBudgetExceeded("clique search budget")
-        if ticks > 0:
-            ticks -= 1
+        nonlocal best_size, best_mask
+        if spend is not None:
+            spend()
         if not P:
             if rsize > best_size:
                 best_size = rsize
@@ -638,13 +659,15 @@ def _max_clique_in(adj, pool: int, budget: int | None = None
 
 def clique_number(G: Graph, *, budget: int | None = None) -> int:
     """Exact clique number; raises SearchBudgetExceeded past the budget."""
-    size, _ = _max_clique_in(G.adj, G.vertex_mask, budget)
+    size, _ = _max_clique_in(G.adj, G.vertex_mask,
+                             _spender(budget, "clique search budget"))
     return size
 
 
 def maximum_clique(G: Graph, *, budget: int | None = None) -> int:
     """Bitmask of one maximum clique (deterministic)."""
-    _, mask = _max_clique_in(G.adj, G.vertex_mask, budget)
+    _, mask = _max_clique_in(G.adj, G.vertex_mask,
+                             _spender(budget, "clique search budget"))
     return mask
 
 
@@ -729,21 +752,15 @@ def _k_colorable(adj, n: int, k: int, spend) -> bool:
 
 def chromatic_number_exact(G: Graph, *, budget: int | None = None) -> int:
     """Exact chromatic number by branch and bound between the clique lower
-    bound and the DSATUR greedy upper bound."""
+    bound and the DSATUR greedy upper bound.  Both searches share one
+    node budget."""
     n = G.n
     if n == 0:
         return 0
     adj = G.adj
-    lb = clique_number(G, budget=budget)
+    spend = _spender(budget, "chromatic search budget")
+    lb, _ = _max_clique_in(adj, G.vertex_mask, spend)
     ub, _ = _dsatur_order_color(adj, n)
-    ticks = budget if budget is not None else -1
-
-    def spend():
-        nonlocal ticks
-        if ticks > 0:
-            ticks -= 1
-        elif ticks == 0:
-            raise SearchBudgetExceeded("chromatic search budget")
 
     for k in range(lb, ub):
         if _k_colorable(adj, n, k, spend):

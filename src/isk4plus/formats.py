@@ -7,7 +7,7 @@ zero padded), each group stored as one printable byte value+63.
 
 from __future__ import annotations
 
-from .graph import Graph, graph_from_edges
+from .graph import MAX_VERTICES, Graph, graph_from_edges
 
 GRAPH6_HEADER = b">>graph6<<"
 
@@ -47,8 +47,7 @@ def write_graph6(G: Graph) -> bytes:
 
 def parse_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 record; rejects trailing bytes and bad padding."""
-    if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+    data = _ascii_bytes(data)
     if not data:
         raise FormatError("empty graph6 record")
     for b in data:
@@ -64,6 +63,9 @@ def parse_graph6(data: bytes | str) -> Graph:
     else:
         n = data[0] - 63
         body = data[1:]
+    if n > MAX_VERTICES:
+        raise FormatError(f"graph6 record has {n} vertices, "
+                          f"more than {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) < need:
@@ -87,6 +89,15 @@ def parse_graph6(data: bytes | str) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _ascii_bytes(data: bytes | str) -> bytes:
+    if isinstance(data, bytes):
+        return data
+    try:
+        return data.encode("ascii")
+    except UnicodeEncodeError:
+        raise FormatError("non-ASCII character in graph6 data") from None
+
+
 def _pair_at(pos: int) -> tuple[int, int]:
     # column-order position -> (i, j): column j holds bits j*(j-1)/2 .. +j-1
     j = 1
@@ -101,32 +112,34 @@ def iter_graph6_lines(lines) -> "iter":
     Blank lines and a leading >>graph6<< file header are skipped.
     """
     for lineno, raw in enumerate(lines, start=1):
-        if isinstance(raw, str):
-            raw = raw.encode("ascii", errors="replace")
-        line = raw.strip()
-        if line.startswith(GRAPH6_HEADER):
-            line = line[len(GRAPH6_HEADER):]
-        if not line:
-            continue
         try:
-            yield lineno, parse_graph6(line)
+            line = _ascii_bytes(raw).strip()
+            if line.startswith(GRAPH6_HEADER):
+                line = line[len(GRAPH6_HEADER):]
+            if not line:
+                continue
+            G = parse_graph6(line)
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
+        yield lineno, G
 
 
 def read_edgelist(text: str) -> Graph:
     """Read the plain text format: "n m" header then m lines "u v" (0-based)."""
-    tokens = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not tokens or len(tokens[0]) != 2:
+    rows = [(lineno, ln.split())
+            for lineno, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip()]
+    if not rows or len(rows[0][1]) != 2:
         raise FormatError("edge list must start with 'n m' header")
     try:
-        n, m = int(tokens[0][0]), int(tokens[0][1])
+        n, m = int(rows[0][1][0]), int(rows[0][1][1])
     except ValueError:
-        raise FormatError("non-integer edge list header") from None
-    if len(tokens) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(tokens) - 1}")
+        raise FormatError(f"line {rows[0][0]}: non-integer edge list "
+                          "header") from None
+    if len(rows) - 1 != m:
+        raise FormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
-    for lineno, parts in enumerate(tokens[1:], start=2):
+    for lineno, parts in rows[1:]:
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'u v'")
         try:
@@ -142,7 +155,7 @@ def read_edgelist(text: str) -> Graph:
 
 def read_dimacs(text: str) -> Graph:
     """Read a DIMACS .col file ("p edge n m" header, 1-based "e u v" lines)."""
-    n = None
+    n = m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -152,7 +165,11 @@ def read_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise FormatError(f"line {lineno}: bad problem line")
-            n = int(parts[2])
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer vertex or "
+                                  "edge count") from None
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
@@ -166,6 +183,8 @@ def read_dimacs(text: str) -> Graph:
         # other record types (n, x, ...) are ignored
     if n is None:
         raise FormatError("missing DIMACS problem line")
+    if len(edges) != m:
+        raise FormatError(f"expected {m} edge lines, found {len(edges)}")
     try:
         return graph_from_edges(n, edges)
     except ValueError as exc:

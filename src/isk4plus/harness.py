@@ -273,7 +273,7 @@ class CampaignConfig:
     source: str = "enumerate"  # enumerate | graph6 | gnp | triangle-free |
                                # planted | k44-random
     path: str | None = None
-    lines: list[bytes] | None = None  # pre-read graph6 lines (stdin)
+    lines: list[bytes | str] | None = None  # pre-read graph6 lines (stdin)
     max_n: int = 5
     min_n: int = 1
     count: int = 100

@@ -139,6 +139,33 @@ def test_malformed_edgelist_exit_65(capsys, tmp_path):
     assert code == 65
 
 
+# 129 vertices: the 18-bit size header, then an empty upper triangle
+GRAPH6_N129 = b"~?A@" + b"?" * (129 * 128 // 2 // 6)
+
+
+@pytest.mark.parametrize("fmt,data,line,stdin", [
+    ("graph6", b"C~\n" + GRAPH6_N129 + b"\n", 2, False),
+    ("graph6", "C~\nD\u00e9\n".encode(), 2, True),
+    ("edgelist", "3 2\n0 1\n1 \u00e9\n".encode(), 3, False),
+    ("dimacs", b"c header\np edge x 3\n", 2, False),
+    ("dimacs", b"p edge 3 2\ne 1 2\n", None, False),
+], ids=["graph6-too-many-vertices", "graph6-stdin-non-ascii",
+        "edgelist-non-ascii", "dimacs-bad-count", "dimacs-missing-edges"])
+def test_malformed_input_exit_65(capsys, monkeypatch, tmp_path, fmt, data,
+                                 line, stdin):
+    import io
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(data.decode()))
+        path = "-"
+    else:
+        path = tmp_path / "bad.in"
+        path.write_bytes(data)
+    code, _, err = run(capsys, "detect", str(path), "--format", fmt)
+    assert code == 65
+    if line is not None:
+        assert f"line {line}:" in err
+
+
 def test_stdin_graph6(capsys, monkeypatch):
     import io
     rec = write_graph6(k4_plus_graph()).decode()

@@ -1,18 +1,21 @@
 """Detectors, oracles, and exact invariant solvers."""
 
+import pathlib
 import random
 from itertools import combinations
 
 import pytest
 
 from isk4plus import detect
-from isk4plus.detect import (BUDGET, FOUND, NONE, CliquePreconditionError,
+from isk4plus.detect import (BUDGET, DEFAULT_NODE_BUDGET, FOUND, NONE,
+                             CliquePreconditionError,
                              SearchBudgetExceeded, chromatic_number_exact,
                              clique_number, find_biclique_subgraph,
                              find_induced_biclique, find_isk4plus,
                              find_isk4plus_oracle, is_k4_subdivision,
                              is_k4plus_subdivision, ramsey_extract_k44,
                              verify_subdivision_witness, witness_from_subset)
+from isk4plus.formats import parse_graph6
 from isk4plus.graph import (bit_list, graph_from_edges, induced_subgraph,
                             mask_of)
 from isk4plus.harness import (complete_graph, complete_multipartite,
@@ -137,6 +140,69 @@ def test_find_budget_outcome():
     g = planted_k44_graph(14, 0.5, random.Random(2))
     det = find_isk4plus(g, budget=3)
     assert det.status == BUDGET and det.witness is None
+
+
+@pytest.mark.parametrize("s", [6, 7, 8])
+def test_find_proves_none_on_large_k_ssss(s):
+    # K_{s,s,s,s} is ISK4+-free; proving it needs the reachability prune
+    det = find_isk4plus(complete_multipartite(s, s, s, s),
+                        budget=DEFAULT_NODE_BUDGET)
+    assert det.status == NONE
+
+
+def test_find_matches_oracle_dense_and_multipartite():
+    rng = random.Random(97)
+    graphs = [gnp_graph(rng.randint(8, 16), rng.choice([0.5, 0.7, 0.85]),
+                        rng) for _ in range(30)]
+    for _ in range(20):
+        n = rng.randint(8, 16)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(rng.randint(1, 5), n - sum(sizes)))
+        graphs.append(complete_multipartite(*sizes))
+    for g in graphs:
+        det = find_isk4plus(g)
+        assert det.status != BUDGET
+        assert det.found == (find_isk4plus_oracle(g) is not None)
+        if det.found:
+            assert verify_subdivision_witness(g, det.witness)
+
+
+# first witnesses of the unpruned search: the records fixture, then three
+# sparse G(n, p) graphs whose witnesses have long paths
+PINNED_WITNESSES = [
+    (b"?", None), (b"@", None), (b"A?", None), (b"A_", None),
+    (b"C~", None),
+    (b"D?{", None),
+    (b"D^o", ((0, 1, 2, 3), ((0, 4, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                             (2, 3)))),
+    (b"Dhc", None),
+    (b"IheA@GUAo", ((0, 1, 3, 8), ((0, 1), (0, 4, 3), (0, 5, 8), (1, 2, 3),
+                                   (1, 6, 8), (3, 8)))),
+    (b"G?~vf_", None),
+    (b"O?G_?O?OC?ogS??EGGT?A",
+     ((0, 2, 7, 11), ((0, 15, 2), (0, 10, 9, 1, 14, 7), (0, 11), (2, 4, 7),
+                      (2, 5, 11), (7, 11)))),
+    (b"NAWc_S???ISB?B?AGCG",
+     ((1, 2, 10, 11), ((1, 4, 2), (1, 14, 13, 10), (1, 3, 6, 0, 11),
+                       (2, 5, 10), (2, 11), (10, 11)))),
+    (b"NO@?@kcQAC?SHKe?@D?",
+     ((1, 2, 5, 7), ((1, 9, 4, 13, 0, 2), (1, 5), (1, 10, 6, 7), (2, 8, 5),
+                     (2, 7), (5, 7)))),
+]
+
+
+def test_find_pinned_witnesses():
+    fixture = pathlib.Path(__file__).parent / "data" / "records.g6"
+    records = [r for r in fixture.read_bytes().splitlines() if r]
+    assert records == [g6 for g6, _ in PINNED_WITNESSES[:len(records)]]
+    for g6, want in PINNED_WITNESSES:
+        det = find_isk4plus(parse_graph6(g6))
+        if want is None:
+            assert det.status == NONE
+        else:
+            assert det.status == FOUND
+            assert (det.witness.branch, det.witness.paths) == want
 
 
 def test_exhaustive_agreement_n5():
@@ -380,3 +446,12 @@ def test_solver_budget_errors():
         clique_number(g, budget=2)
     with pytest.raises(SearchBudgetExceeded):
         chromatic_number_exact(g, budget=5)
+
+
+def test_chromatic_budget_covers_both_searches():
+    # on the Petersen graph the clique bound takes 16 nodes and the
+    # coloring search 5; both draw on the one budget
+    g = petersen_graph()
+    assert chromatic_number_exact(g, budget=21) == 3
+    with pytest.raises(SearchBudgetExceeded):
+        chromatic_number_exact(g, budget=20)
