@@ -35,6 +35,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _budget(text: str) -> int:
+    """argparse type for --budget: a node count, never negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"budget must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"budget must be non-negative, got {value}")
+    return value
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         text = sys.stdin.read()
@@ -95,7 +108,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", parents=[], help="find induced K4+ "
                        "subdivisions, one JSON line per input graph")
     add_input(p)
-    p.add_argument("--budget", type=int, default=detect.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget,
+                   default=detect.DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("color", help="run the structural coloring")
     add_input(p)
@@ -126,7 +140,7 @@ def build_parser() -> _Parser:
         p.add_argument("--filter", action="append", default=[],
                        choices=list(harness.FILTER_NAMES))
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--budget", type=int,
+        p.add_argument("--budget", type=_budget,
                        default=detect.DEFAULT_NODE_BUDGET)
         p.add_argument("--output", default=None,
                        help="write the report here instead of stdout")

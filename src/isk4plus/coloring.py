@@ -1,14 +1,15 @@
 """Recursive proper coloring driven by the structural decomposition.
 
-The recursion colors small graphs directly, splits disconnected graphs,
-and otherwise looks for an induced K4,4.  Without one it removes a
-minimum-degree vertex and extends greedily on the way back; with one it
-grows the complete multipartite set M and recurses across the clique
-cutset that M induces, merging the two side colorings on the cutset.
-The output is a proper coloring for every input graph; on graphs that do
-contain an induced K4 subdivision on >= 5 vertices the cutset step can
-fail, in which case the step is recorded in the trace and the
-minimum-degree branch is taken instead.
+The recursion works on vertex masks of the input graph.  It colors small
+sets directly, splits disconnected ones, and otherwise looks for an
+induced K4,4.  Without one it removes a minimum-degree vertex and extends
+greedily on the way back; having no induced K4,4 is hereditary, so that
+chain never searches again.  With one it grows the complete multipartite
+set M and recurses across the clique cutset that M induces, merging the
+two side colorings on the cutset.  The output is a proper coloring for
+every input graph; on graphs that do contain an induced K4 subdivision on
+>= 5 vertices the cutset step can fail, in which case the step is
+recorded in the trace and the minimum-degree branch is taken instead.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import detect, structure
-from .graph import (Coloring, Graph, bit_list, coloring_from_map, components,
-                    induced_subgraph)
+from .graph import (Coloring, Graph, bit_list, coloring_from_map,
+                    components_within, induced_subgraph, iter_bits)
 
 # known Ramsey numbers R(4, k); used only to size the K_{s,s} search when
 # the biclique-then-extract route is requested
@@ -73,14 +74,12 @@ class TraceNode:
 class ColorOptions:
     """Tuning knobs for color_isk4plus_free.
 
-    k defaults to the exact clique number; base_size to k.  part_size is a
-    hook for a smaller biclique core, but only 4 is implemented.
+    k defaults to the exact clique number; base_size to k.
     """
 
     k: int | None = None
     base_size: int | None = None
     via_ramsey: bool = False
-    part_size: int = 4
     detector_budget: int | None = None
 
 
@@ -178,15 +177,13 @@ def color_isk4plus_free(G: Graph, opts: ColorOptions | None = None
     vertices.
     """
     opts = opts or ColorOptions()
-    if opts.part_size != 4:
-        raise NotImplementedError("only part_size=4 is supported")
     k = opts.k if opts.k is not None else detect.clique_number(G)
     if opts.via_ramsey and k not in RAMSEY_R4:
         raise ValueError(
             f"the biclique-then-extract route needs a clique bound in "
             f"{sorted(RAMSEY_R4)}, got {k}")
     base = opts.base_size if opts.base_size is not None else max(k, 1)
-    colors, trace = _color_rec(G, tuple(range(G.n)), base, k, opts)
+    colors, trace = _color_rec(G, G.vertex_mask, base, k, opts, False)
     coloring = coloring_from_map(G.n, colors)
     bad = verify_proper(G, coloring)
     if bad is not None:
@@ -215,84 +212,122 @@ def _find_seed(H: Graph, k: int, opts: ColorOptions):
         return None
 
 
-def _color_rec(H: Graph, vmap: tuple[int, ...], base: int, k: int,
-               opts: ColorOptions) -> tuple[dict[int, int], TraceNode]:
-    n = H.n
+def _lift(vmap, mask: int) -> int:
+    """Map a vertex mask of an induced subgraph back to the input graph."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= 1 << vmap[v]
+    return out
+
+
+def _color_rec(G: Graph, members: int, base: int, k: int,
+               opts: ColorOptions, free: bool
+               ) -> tuple[dict[int, int], TraceNode]:
+    """Color the subgraph of G induced on the vertex mask members.
+
+    Colors and trace vertices use G's own indices.  free says that members
+    is known to induce no K4,4, so the search is skipped.
+    """
+    n = members.bit_count()
     if n <= base:
-        colors = {vmap[i]: i for i in range(n)}
+        colors = {v: i for i, v in enumerate(iter_bits(members))}
         return colors, TraceNode("base", palette=n)
 
-    comps = components(H)
+    comps = components_within(G.adj, members)
     if len(comps) > 1:
         merged: dict[int, int] = {}
         node = TraceNode("component-split")
         for comp in comps:
-            sub, smap = induced_subgraph(H, comp)
-            child_colors, child_node = _color_rec(
-                sub, tuple(vmap[i] for i in smap), base, k, opts)
+            child_colors, child_node = _color_rec(G, comp, base, k, opts,
+                                                  free)
             node.children.append(child_node)
             merged = merge_on_clique(merged, child_colors, ())
         node.palette = _palette_of(merged)
         return merged, node
 
+    if free:
+        return _low_degree_step(G, members, base, k, opts, True, None)
+
+    # the search needs a Graph of its own; induced subgraphs keep vertex
+    # order, so H's vertex i is the i-th lowest member
+    if members == G.vertex_mask:
+        H, vmap = G, range(G.n)
+    else:
+        H, vmap = induced_subgraph(G, members)
     try:
         seed = _find_seed(H, k, opts)
     except detect.SearchBudgetExceeded as exc:
         raise ColoringBudgetError(str(exc), TraceNode("low-degree")) from exc
 
-    if seed is not None:
-        M = structure.grow_maximal_multipartite(H, seed)
-        if M.members == H.vertex_mask:
-            colors: dict[int, int] = {}
-            for idx, part in enumerate(M.parts):
-                for v in bit_list(part):
-                    colors[vmap[v]] = idx
-            return colors, TraceNode("multipartite-direct",
-                                     palette=len(M.parts),
-                                     part_count=len(M.parts))
-        try:
-            split = structure.find_structural_cutset(H, M)
-        except structure.NotACliqueError as exc:
-            return _low_degree_step(
-                H, vmap, base, k, opts,
-                fallback=f"cutset not a clique at {exc.pair}")
-        # members and outside are both nonempty here, so a split exists
-        assert split is not None
-        c1, n1 = _color_rec(split.g1,
-                            tuple(vmap[i] for i in split.map1),
-                            base, k, opts)
-        c2, n2 = _color_rec(split.g2,
-                            tuple(vmap[i] for i in split.map2),
-                            base, k, opts)
-        merged = merge_on_clique(
-            c1, c2, [vmap[v] for v in bit_list(split.clique)])
-        node = TraceNode(
-            "structural-split",
-            palette=_palette_of(merged),
-            clique=tuple(vmap[v] for v in bit_list(split.clique)),
-            component=tuple(vmap[v] for v in bit_list(split.component)),
-            children=[n1, n2])
-        return merged, node
+    if seed is None:
+        # no induced K4,4 is hereditary, so every graph that the low-degree
+        # chain and its component splits reach inherits the verdict; a
+        # failed Ramsey extraction proves nothing and is not passed on
+        return _low_degree_step(G, members, base, k, opts,
+                                not opts.via_ramsey, None)
 
-    return _low_degree_step(H, vmap, base, k, opts, fallback=None)
+    M = structure.grow_maximal_multipartite(H, seed)
+    if M.members == H.vertex_mask:
+        colors = {}
+        for idx, part in enumerate(M.parts):
+            for v in iter_bits(part):
+                colors[vmap[v]] = idx
+        return colors, TraceNode("multipartite-direct",
+                                 palette=len(M.parts),
+                                 part_count=len(M.parts))
+    try:
+        split = structure.find_structural_cutset(H, M)
+    except structure.NotACliqueError as exc:
+        # the fallback tag keeps the pair in H's indices
+        return _low_degree_step(
+            G, members, base, k, opts, False,
+            f"cutset not a clique at {exc.pair}")
+    # members and outside are both nonempty here, so a split exists
+    assert split is not None
+    clique = _lift(vmap, split.clique)
+    comp = _lift(vmap, split.component)
+    c1, n1 = _color_rec(G, members & ~comp, base, k, opts, False)
+    c2, n2 = _color_rec(G, comp | clique, base, k, opts, False)
+    merged = merge_on_clique(c1, c2, clique)
+    node = TraceNode(
+        "structural-split",
+        palette=_palette_of(merged),
+        clique=tuple(iter_bits(clique)),
+        component=tuple(iter_bits(comp)),
+        children=[n1, n2])
+    return merged, node
 
 
-def _low_degree_step(H: Graph, vmap: tuple[int, ...], base: int, k: int,
-                     opts: ColorOptions, fallback: str | None
+def _low_degree_step(G: Graph, members: int, base: int, k: int,
+                     opts: ColorOptions, free: bool, fallback: str | None
                      ) -> tuple[dict[int, int], TraceNode]:
-    degs = [H.adj[v].bit_count() for v in range(H.n)]
-    v = min(range(H.n), key=lambda u: (degs[u], u))
-    sub, smap = induced_subgraph(H, H.vertex_mask & ~(1 << v))
-    child_colors, child_node = _color_rec(
-        sub, tuple(vmap[i] for i in smap), base, k, opts)
-    palette = max(_palette_of(child_colors), degs[v] + 1)
-    # greedy_extend works in H's own index space; lift the result back
-    hpartial = {orig: child_colors[vmap[orig]] for orig in smap}
-    extended = greedy_extend(H, hpartial, v, palette)
-    colors = {vmap[i]: extended.colors[i] for i in range(H.n)}
-    node = TraceNode("low-degree", palette=_palette_of(colors),
-                     vertex=vmap[v], fallback=fallback,
-                     children=[child_node])
+    """Remove the member with the fewest neighbors in members (lowest
+    index on ties), color the rest, and give it the smallest color its
+    neighbors leave free."""
+    adj = G.adj
+    v = -1
+    best = G.n
+    rest = members
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        u = b.bit_length() - 1
+        d = (adj[u] & members).bit_count()
+        if d < best:
+            best = d
+            v = u
+    colors, child_node = _color_rec(G, members & ~(1 << v), base, k, opts,
+                                    free)
+    used = 0
+    row = adj[v] & members
+    while row:
+        b = row & -row
+        row ^= b
+        used |= 1 << colors[b.bit_length() - 1]
+    c = (~used & (used + 1)).bit_length() - 1
+    colors[v] = c
+    node = TraceNode("low-degree", palette=max(child_node.palette, c + 1),
+                     vertex=v, fallback=fallback, children=[child_node])
     return colors, node
 
 

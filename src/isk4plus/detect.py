@@ -35,7 +35,10 @@ class SearchBudgetExceeded(RuntimeError):
 def _spender(budget: int | None, what: str):
     """One node counter for a whole search: each call spends a node, and
     the call after budget nodes raises SearchBudgetExceeded (None: no
-    limit).  Sub-searches share it, so their total stays within budget."""
+    limit).  Sub-searches share it, so their total stays within budget.
+    A negative budget raises ValueError."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"{what} must be non-negative, got {budget}")
     ticks = budget if budget is not None else -1
 
     def spend():
@@ -325,6 +328,7 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
     returned witness may differ.  Exhausting the node budget yields status
     "budget", never a wrong verdict.
     """
+    spend = _spender(budget, "detector search budget")
     n = G.n
     adj = G.adj
     if n < min_total or n < 4:
@@ -332,7 +336,6 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
     cand = [v for v in range(n) if adj[v].bit_count() >= 3]
     if len(cand) < 4:
         return Detection(NONE)
-    spend = _spender(budget, "detector search budget")
     try:
         for quad in combinations(cand, 4):
             spend()
@@ -535,6 +538,7 @@ def find_induced_biclique(G: Graph, s: int,
     """
     if s < 1:
         raise ValueError("s must be positive")
+    spend = _spender(budget, "induced biclique search budget")
     n = G.n
     adj = G.adj
     if n < 2 * s:
@@ -542,7 +546,6 @@ def find_induced_biclique(G: Graph, s: int,
     cand = [v for v in range(n) if adj[v].bit_count() >= s]
     if len(cand) < 2 * s:
         return None
-    spend = _spender(budget, "induced biclique search budget")
 
     def grow(start: int, chosen: int, k: int, common: int, stable_pool: int):
         if k == s:
@@ -662,13 +665,6 @@ def clique_number(G: Graph, *, budget: int | None = None) -> int:
     size, _ = _max_clique_in(G.adj, G.vertex_mask,
                              _spender(budget, "clique search budget"))
     return size
-
-
-def maximum_clique(G: Graph, *, budget: int | None = None) -> int:
-    """Bitmask of one maximum clique (deterministic)."""
-    _, mask = _max_clique_in(G.adj, G.vertex_mask,
-                             _spender(budget, "clique search budget"))
-    return mask
 
 
 def _dsatur_order_color(adj, n: int) -> tuple[int, list[int]]:

@@ -74,15 +74,19 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise FormatError("trailing garbage after graph6 record")
     rows = [0] * n
     pos = 0
+    # (i, j) is the pair at column-order position pos
+    i, j = 0, 1
     for byte in body:
         group = byte - 63
         for k in range(5, -1, -1):
             bit = (group >> k) & 1
             if pos < nbits:
                 if bit:
-                    i, j = _pair_at(pos)
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
+                i += 1
+                if i == j:
+                    i, j = 0, j + 1
             elif bit:
                 raise FormatError("nonzero padding bits in graph6 record")
             pos += 1
@@ -96,14 +100,6 @@ def _ascii_bytes(data: bytes | str) -> bytes:
         return data.encode("ascii")
     except UnicodeEncodeError:
         raise FormatError("non-ASCII character in graph6 data") from None
-
-
-def _pair_at(pos: int) -> tuple[int, int]:
-    # column-order position -> (i, j): column j holds bits j*(j-1)/2 .. +j-1
-    j = 1
-    while j * (j + 1) // 2 <= pos:
-        j += 1
-    return pos - j * (j - 1) // 2, j
 
 
 def iter_graph6_lines(lines) -> "iter":

@@ -162,30 +162,6 @@ def induced_subgraph(G: Graph, members: int | Iterable[int]
     return Graph(len(vmap), tuple(rows), G.label), tuple(vmap)
 
 
-def components(G: Graph) -> list[int]:
-    """Connected components as bitmasks, ordered by smallest member."""
-    out = []
-    seen = 0
-    full = G.vertex_mask
-    adj = G.adj
-    while seen != full:
-        start = (~seen & full) & -(~seen & full)
-        comp = start
-        frontier = start
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                b = f & -f
-                reach |= adj[b.bit_length() - 1]
-                f ^= b
-            frontier = reach & ~comp
-            comp |= frontier
-        out.append(comp)
-        seen |= comp
-    return out
-
-
 def components_within(adj: tuple[int, ...], members: int) -> list[int]:
     """Connected components of the subgraph induced on a vertex mask."""
     out = []
@@ -206,6 +182,11 @@ def components_within(adj: tuple[int, ...], members: int) -> list[int]:
         out.append(comp)
         rest &= ~comp
     return out
+
+
+def components(G: Graph) -> list[int]:
+    """Connected components as bitmasks, ordered by smallest member."""
+    return components_within(G.adj, G.vertex_mask)
 
 
 def is_connected(G: Graph) -> bool:

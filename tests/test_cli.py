@@ -124,6 +124,22 @@ def test_usage_error_exit_64(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ("detect", "missing.g6", "--budget", "-2"),
+    ("survey", "--budget", "-1"),
+    ("verify-claims", "--budget", "-1"),
+    ("check-bounds", "--budget", "-3"),
+    ("detect", "missing.g6", "--budget", "many"),
+], ids=["detect-negative", "survey-negative", "verify-claims-negative",
+        "check-bounds-negative", "detect-non-integer"])
+def test_bad_budget_exit_64(capsys, argv):
+    # rejected while parsing: no input is read and no campaign starts
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "argument --budget" in err and "seed=" not in err
+
+
 def test_malformed_graph6_exit_65(capsys, tmp_path):
     p = tmp_path / "bad.g6"
     p.write_bytes(b"C~\nD?\n")

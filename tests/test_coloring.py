@@ -10,10 +10,11 @@ from isk4plus.coloring import (ColorOptions, ColoringBudgetError,
                                color_isk4plus_free, coloring_to_json,
                                greedy_extend, merge_on_clique, verify_proper)
 from isk4plus.detect import chromatic_number_exact, find_isk4plus
-from isk4plus.graph import Coloring, graph_from_edges
+from isk4plus.graph import Coloring, graph_from_edges, is_connected
 from isk4plus.harness import (complete_graph, cycle_graph, gnp_graph,
                               k4_plus_graph, planted_structured_graph,
                               planted_k44_graph)
+from util_reference_coloring import reference_color
 
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
 
@@ -283,11 +284,6 @@ def test_color_via_ramsey_requires_small_k():
         color_isk4plus_free(g, ColorOptions(via_ramsey=True))
 
 
-def test_color_part_size_hook_unimplemented():
-    with pytest.raises(NotImplementedError):
-        color_isk4plus_free(complete_graph(3), ColorOptions(part_size=3))
-
-
 def test_color_budget_propagates():
     rng = random.Random(127)
     g = planted_k44_graph(16, 0.45, rng)
@@ -319,3 +315,101 @@ def test_coloring_json_output():
     assert doc["palette"] == col.palette_size
     assert doc["colors"] == list(col.colors)
     assert doc["trace"]["kind"] == trace.kind
+
+
+# ---------------------------------------------------------------------------
+# the mask recursion against the per-step Graph rebuild
+
+def _disjoint_union(*graphs):
+    edges = []
+    offset = 0
+    for g in graphs:
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if (g.adj[u] >> v) & 1:
+                    edges.append((u + offset, v + offset))
+        offset += g.n
+    return graph_from_edges(offset, edges)
+
+
+def _differential_inputs():
+    rng = random.Random(131)
+    graphs = [gnp_graph(n, p, rng)
+              for n, p in ((20, 0.2), (40, 0.1), (64, 0.04), (64, 0.1),
+                           (96, 0.07), (128, 0.07), (128, 0.1))]
+    graphs += [gnp_graph(rng.randint(6, 30), rng.choice([0.2, 0.4, 0.6]),
+                         rng) for _ in range(12)]
+    graphs += [planted_k44_graph(rng.randint(9, 40),
+                                 rng.choice([0.1, 0.3, 0.5]), rng)
+               for _ in range(12)]
+    for kind in ("clean", "claim1", "claim2", "claim3"):
+        graphs += [planted_structured_graph(rng, kind) for _ in range(3)]
+    graphs += [_disjoint_union(planted_structured_graph(rng, "clean"),
+                               gnp_graph(12, 0.3, rng),
+                               planted_k44_graph(12, 0.3, rng))
+               for _ in range(3)]
+    # a K4,4 subgraph with the edge 0-1 inside a side, joined by 7-8 to an
+    # induced K4,4: with k = 2 the Ramsey extraction fails on the whole
+    # graph but succeeds once the low-degree step removes vertex 2
+    graphs.append(graph_from_edges(
+        16, [(0, 1), (7, 8)] + [(u, v) for u in range(4) for v in range(4, 8)]
+        + [(u, v) for u in range(8, 12) for v in range(12, 16)]))
+    return graphs
+
+
+def test_color_matches_reference_recursion():
+    kinds = set()
+    fallbacks = 0
+    ramsey_runs = 0
+    for g in _differential_inputs():
+        omega = detect.clique_number(g)
+        options = [ColorOptions(), ColorOptions(base_size=2),
+                   ColorOptions(k=omega + 1)]
+        # a clique bound below omega makes Ramsey extractions fail on
+        # graphs whose induced subgraphs may still succeed
+        options += [ColorOptions(k=k, via_ramsey=True)
+                    for k in (omega - 1, omega) if 2 <= k <= 5]
+        for opts in options:
+            col, trace = color_isk4plus_free(g, opts)
+            assert coloring_to_json(col, trace) == \
+                coloring_to_json(*reference_color(g, opts))
+            kinds.update(node.kind for node in trace.walk())
+            fallbacks += sum(1 for node in trace.walk() if node.fallback)
+            ramsey_runs += opts.via_ramsey
+    assert kinds == {"base", "component-split", "low-degree",
+                     "structural-split", "multipartite-direct"}
+    assert fallbacks and ramsey_runs >= 10
+
+
+def test_color_budget_only_ever_finishes_more():
+    rng = random.Random(137)
+    graphs = [planted_k44_graph(rng.randint(12, 24), 0.4, rng)
+              for _ in range(6)]
+    graphs += [gnp_graph(30, 0.3, rng) for _ in range(4)]
+    for g in graphs:
+        for budget in (20, 200, 2000):
+            opts = ColorOptions(detector_budget=budget)
+            try:
+                expected = coloring_to_json(*reference_color(g, opts))
+            except detect.SearchBudgetExceeded:
+                continue
+            assert coloring_to_json(*color_isk4plus_free(g, opts)) == \
+                expected
+
+
+def test_k44_free_chain_searches_once(monkeypatch):
+    g = gnp_graph(96, 0.07, random.Random(1))
+    assert is_connected(g)
+    assert detect.find_induced_biclique(g, 4) is None
+    calls = []
+    search = detect.find_induced_biclique
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "find_induced_biclique", counted)
+    col, trace = color_isk4plus_free(g)
+    assert verify_proper(g, col) is None
+    assert calls == [96]
+    assert sum(1 for node in trace.walk() if node.kind == "low-degree") > 50

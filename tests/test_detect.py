@@ -136,6 +136,19 @@ def test_find_none_on_small_patterns():
     assert find_isk4plus(complete_graph(5)).status == NONE
 
 
+def test_negative_budget_raises():
+    g = planted_k44_graph(14, 0.5, random.Random(2))
+    with pytest.raises(ValueError, match="non-negative"):
+        find_isk4plus(g, budget=-1)
+    # rejected before any early return, whatever the graph
+    with pytest.raises(ValueError, match="non-negative"):
+        find_isk4plus(complete_graph(3), budget=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        find_induced_biclique(complete_graph(3), 4, budget=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        clique_number(g, budget=-1)
+
+
 def test_find_budget_outcome():
     g = planted_k44_graph(14, 0.5, random.Random(2))
     det = find_isk4plus(g, budget=3)

@@ -168,6 +168,28 @@ def test_graph6_long_form():
         assert parse_graph6(rec) == g
 
 
+@pytest.mark.parametrize("n", [62, 63, 64, 100, 127, 128])
+def test_graph6_round_trip_sizes(n):
+    g = gnp_graph(n, 0.3, random.Random(n))
+    # the upper triangle in column order, packed by hand from the spec
+    bits = [(g.adj[j] >> i) & 1 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = bytes(63 + int("".join(map(str, bits[k:k + 6])), 2)
+                 for k in range(0, len(bits), 6))
+    header = bytes([n + 63]) if n <= 62 else bytes([126, 63, 63 + (n >> 6),
+                                                    63 + (n & 63)])
+    rec = write_graph6(g)
+    assert rec == header + body
+    assert parse_graph6(rec) == g
+    assert write_graph6(parse_graph6(rec)) == rec
+    with pytest.raises(FormatError):
+        parse_graph6(rec[:-1])
+    if n * (n - 1) // 2 % 6:
+        # the last padding bit is 0, so adding 1 sets it
+        with pytest.raises(FormatError, match="padding"):
+            parse_graph6(rec[:-1] + bytes([rec[-1] + 1]))
+
+
 def test_graph6_d_brace_fixture():
     g = parse_graph6(b"D?{")
     assert g.n == 5
