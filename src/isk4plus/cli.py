@@ -10,6 +10,7 @@ input, 70 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -91,7 +92,10 @@ def _input_graphs(path: str, fmt: str) -> list[Graph]:
     raise FormatError(f"unknown format {fmt!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parsing leaves it unchanged
+    (append actions copy their default list before appending)."""
     top = _Parser(prog="isk4plus",
                   description="detectors, structural decomposition, and "
                               "coloring for graphs with no induced K4+ "

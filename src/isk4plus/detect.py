@@ -319,27 +319,42 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
                   min_total: int = 5) -> Detection:
     """Search for an induced K4 subdivision on >= min_total vertices.
 
-    Enumerates ordered 4-sets of candidate branch vertices and grows the
-    six connecting paths shortest-first with full backtracking, rejecting
-    any chord against already placed witness vertices.  Each path draws
-    only on the vertices that a BFS from one endpoint reaches through
-    vertices adjacent to no other placed vertex; this cuts no branch that
-    could succeed.  Existence verdicts match the subset oracle; the
-    returned witness may differ.  Exhausting the node budget yields status
-    "budget", never a wrong verdict.
+    For min_total > 4 it first peels simplicial vertices (those whose
+    neighborhood is a clique) until none is left.  No such vertex lies in
+    a witness on >= 5 vertices: an interior path vertex with adjacent
+    neighbors would close a chord or a second path, and a branch vertex
+    with pairwise adjacent neighbors would make the witness contain K4 and
+    so be K4 itself.  Deleting a vertex keeps every other simplicial vertex
+    simplicial, so the peel stays exact all the way down.  Chordal graphs
+    peel to nothing and prove "none" without spending a node.  K4 itself is
+    all simplicial, so min_total = 4 searches every vertex.
+
+    The search then enumerates ordered 4-sets of kept branch vertices with
+    at least 3 kept neighbors and grows the six connecting paths
+    shortest-first with full backtracking, rejecting any chord against
+    already placed witness vertices.  Each path draws only on the kept
+    vertices that a BFS from one endpoint reaches through vertices adjacent
+    to no other placed vertex.  Neither cut removes a branch that could
+    succeed, so the first witness is the one the full search would find.
+    Existence verdicts match the subset oracle; the returned witness may
+    differ.  Exhausting the node budget yields status "budget", never a
+    wrong verdict.
     """
     spend = _spender(budget, "detector search budget")
     n = G.n
     adj = G.adj
     if n < min_total or n < 4:
         return Detection(NONE)
-    cand = [v for v in range(n) if adj[v].bit_count() >= 3]
+    keep = G.vertex_mask
+    if min_total > 4:
+        keep = _peel_simplicial(adj, keep)
+    cand = [v for v in bit_list(keep) if (adj[v] & keep).bit_count() >= 3]
     if len(cand) < 4:
         return Detection(NONE)
     try:
         for quad in combinations(cand, 4):
             spend()
-            w = _search_quad(adj, quad, min_total, spend)
+            w = _search_quad(adj, quad, min_total, spend, keep)
             if w is not None:
                 return Detection(FOUND, w)
         return Detection(NONE)
@@ -347,7 +362,28 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
         return Detection(BUDGET)
 
 
-def _search_quad(adj, quad, min_total, spend):
+def _peel_simplicial(adj, alive: int) -> int:
+    """Delete simplicial vertices of the subgraph induced on alive until
+    none is left; returns the kept mask.  Deleting v can only make its
+    neighbors simplicial, so only they go back on the worklist."""
+    work = alive
+    while work:
+        b = work & -work
+        work ^= b
+        nb = adj[b.bit_length() - 1] & alive
+        t = nb
+        while t:
+            u = t & -t
+            t ^= u
+            if nb & ~adj[u.bit_length() - 1] & ~u:
+                break
+        else:
+            alive ^= b
+            work |= nb
+    return alive
+
+
+def _search_quad(adj, quad, min_total, spend, keep):
     qmask = 0
     for v in quad:
         qmask |= 1 << v
@@ -366,8 +402,6 @@ def _search_quad(adj, quad, min_total, spend):
         paths = tuple((quad[i], quad[j]) for i, j in PAIR_SLOTS)
         return SubdivisionWitness(quad, paths, qmask)
 
-    n_bits = len(adj)
-    full = (1 << n_bits) - 1
     grown: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def place(k: int, placed: int) -> bool:
@@ -384,7 +418,7 @@ def _search_quad(adj, quad, min_total, spend):
             b = t & -t
             t ^= b
             blocked |= adj[b.bit_length() - 1]
-        usable = full & ~blocked
+        usable = keep & ~blocked
         # BFS from x through usable.  Every valid interior lies in reached,
         # and a shortest x-y path through usable is induced, so the first
         # level whose frontier meets N(y) is the least feasible limit.
@@ -746,16 +780,21 @@ def _k_colorable(adj, n: int, k: int, spend) -> bool:
     return rec(0, 0)
 
 
-def chromatic_number_exact(G: Graph, *, budget: int | None = None) -> int:
+def chromatic_number_exact(G: Graph, *, budget: int | None = None,
+                           omega: int | None = None) -> int:
     """Exact chromatic number by branch and bound between the clique lower
     bound and the DSATUR greedy upper bound.  Both searches share one
-    node budget."""
+    node budget.  A caller that already knows the clique number passes it
+    as omega, and the clique search is skipped."""
     n = G.n
     if n == 0:
         return 0
     adj = G.adj
     spend = _spender(budget, "chromatic search budget")
-    lb, _ = _max_clique_in(adj, G.vertex_mask, spend)
+    if omega is None:
+        lb, _ = _max_clique_in(adj, G.vertex_mask, spend)
+    else:
+        lb = omega
     ub, _ = _dsatur_order_color(adj, n)
 
     for k in range(lb, ub):

@@ -360,7 +360,7 @@ def _survey_task(args) -> tuple[bool, bool, int, int, int, str]:
     if not passed:
         return False, budget_hit, 0, 0, 0, ""
     omega = detect.clique_number(G)
-    chi = detect.chromatic_number_exact(G)
+    chi = detect.chromatic_number_exact(G, omega=omega)
     return True, False, G.n, omega, chi, g6.decode("ascii")
 
 

@@ -426,8 +426,17 @@ def find_structural_cutset(G: Graph, w: MultipartiteWitness
     """
     if not is_connected(G):
         raise ValueError("cutset extraction expects a connected graph")
-    members = w.members
-    outside = G.vertex_mask & ~members
+    masks = _structural_cutset_masks(G, w)
+    if masks is None:
+        return None
+    return _make_split(G, *masks)
+
+
+def _structural_cutset_masks(G: Graph, w: MultipartiteWitness
+                             ) -> tuple[int, int] | None:
+    """(clique, component) masks of find_structural_cutset, without the
+    connectivity check or the side graphs; G must be connected."""
+    outside = G.vertex_mask & ~w.members
     if outside == 0:
         return None
     comp = components_within(G.adj, outside)[0]
@@ -436,7 +445,7 @@ def find_structural_cutset(G: Graph, w: MultipartiteWitness
     for x, y in combinations(verts, 2):
         if not (G.adj[x] >> y) & 1:
             raise NotACliqueError((x, y), clique)
-    return _make_split(G, clique, comp)
+    return clique, comp
 
 
 def _make_split(G: Graph, clique: int, comp: int) -> CutsetSplit:

@@ -100,6 +100,26 @@ def test_survey_byte_identical_reruns_and_jobs(capsys):
     assert out1 == out2 == out8
 
 
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # the parser is built once per process; a request's --filter and
+    # --budget must not leak into the next request's defaults
+    from isk4plus import cli, harness
+    seen = []
+    real = harness.survey_chi_vs_omega
+
+    def spy(cfg):
+        seen.append((cfg.filters, cfg.budget))
+        return real(cfg)
+
+    monkeypatch.setattr(harness, "survey_chi_vs_omega", spy)
+    assert cli.build_parser() is cli.build_parser()
+    run(capsys, "survey", "--max-n", "3", "--filter", "isk4p-free",
+        "--budget", "7")
+    run(capsys, "survey", "--max-n", "3")
+    assert seen == [(("isk4p-free",), 7),
+                    ((), cli.detect.DEFAULT_NODE_BUDGET)]
+
+
 def test_verify_claims_cli(capsys):
     code, out, _ = run(capsys, "verify-claims", "--source", "planted",
                        "--count", "20", "--seed", "3")

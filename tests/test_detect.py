@@ -20,8 +20,9 @@ from isk4plus.graph import (bit_list, graph_from_edges, induced_subgraph,
                             mask_of)
 from isk4plus.harness import (complete_graph, complete_multipartite,
                               cycle_graph, detector_agreement_stats,
-                              gnp_graph, k4_plus_graph, petersen_graph,
-                              planted_k44_graph)
+                              gnp_graph, k4_plus_graph, passes_filters,
+                              petersen_graph, planted_k44_graph,
+                              planted_structured_graph)
 
 from util_brute import brute_chromatic_number, brute_clique_number
 
@@ -181,8 +182,9 @@ def test_find_matches_oracle_dense_and_multipartite():
             assert verify_subdivision_witness(g, det.witness)
 
 
-# first witnesses of the unpruned search: the records fixture, then three
-# sparse G(n, p) graphs whose witnesses have long paths
+# first witnesses of the unpruned search: the records fixture, three
+# sparse G(n, p) graphs whose witnesses have long paths, then sparse seeded
+# G(n, p) with n <= 24 that have simplicial vertices (the last three: none)
 PINNED_WITNESSES = [
     (b"?", None), (b"@", None), (b"A?", None), (b"A_", None),
     (b"C~", None),
@@ -202,6 +204,45 @@ PINNED_WITNESSES = [
     (b"NO@?@kcQAC?SHKe?@D?",
      ((1, 2, 5, 7), ((1, 9, 4, 13, 0, 2), (1, 5), (1, 10, 6, 7), (2, 8, 5),
                      (2, 7), (5, 7)))),
+    (b"WPAOAS??A???KCK??c_??M?B`?GG?C?@??GEA@??@???TOG",
+     ((0, 2, 3, 12), ((0, 2), (0, 5, 3), (0, 19, 23, 12), (2, 3), (2, 12),
+                      (3, 12)))),
+    (b"Q_@`?A_?K?OEH??SP?B?g_@?_G?",
+     ((0, 1, 2, 15), ((0, 1), (0, 10, 17, 2), (0, 11, 15), (1, 5, 2),
+                      (1, 15), (2, 15)))),
+    (b"TOAWQ_Ci?Dk?P?AAO{R@G`O?@R?SC???_COR",
+     ((0, 1, 2, 9), ((0, 16, 7, 1), (0, 2), (0, 9), (1, 11, 2),
+                     (1, 12, 18, 4, 9), (2, 9)))),
+    (b"Sc`_C_SCO?k?@CGCR?????C__@dC??_p?",
+     ((0, 1, 2, 5), ((0, 1), (0, 18, 2), (0, 3, 8, 5), (1, 11, 2), (1, 5),
+                     (2, 5)))),
+    (b"P??A??A?@??L???@`p?BW?@?",
+     ((8, 10, 11, 15), ((8, 6, 14, 10), (8, 11), (8, 15), (10, 11),
+                        (10, 15), (11, 15)))),
+    (b"Q?E???OOA?A??@COQ?R?AG_Ccc?",
+     ((3, 11, 14, 17), ((3, 11), (3, 14), (3, 8, 17), (11, 12, 14),
+                        (11, 17), (14, 0, 5, 17)))),
+    (b"P`HSBAAKe_PcO?_GGCCPA_Q?",
+     ((0, 1, 2, 7), ((0, 1), (0, 15, 4, 2), (0, 16, 7), (1, 5, 3, 2),
+                     (1, 7), (2, 7)))),
+    (b"WG??Q?Ac?S?A_?`K?GOCS?GY@?s?A?HC@?A??CG?EO?_`?C",
+     ((0, 5, 9, 13), ((0, 12, 19, 5), (0, 9), (0, 13),
+                      (5, 23, 10, 22, 21, 9), (5, 13), (9, 13)))),
+    (b"T?OA??W?A?_?_?_??AGY?????@??a_?d??aG",
+     ((4, 9, 12, 18), ((4, 1, 10, 9), (4, 8, 20, 12), (4, 15, 18),
+                       (9, 19, 12), (9, 18), (12, 0, 13, 18)))),
+    (b"U@??_`AB?@?_?@G?_GHAA??_C@@??O_???G?O?`?",
+     ((2, 3, 12, 13), ((2, 3), (2, 18, 16, 12), (2, 13),
+                       (3, 6, 8, 1, 21, 12), (3, 7, 14, 13), (12, 13)))),
+    (b"Q@@???SOpC?A??CB?c_?_??????",
+     ((3, 9, 10, 13), ((3, 8, 5, 1, 9), (3, 2, 10), (3, 13), (9, 6, 10),
+                       (9, 11, 13), (10, 13)))),
+    (b"Sc?HOKH_???A???AOAIO@?C???KA?AGCO",
+     ((0, 1, 5, 15), ((0, 1), (0, 18, 7, 5), (0, 14, 15), (1, 19, 5),
+                      (1, 15), (5, 4, 15)))),
+    (b"UP_??KGAAG??DG????G??K?G??A???_G???HC?H?", None),
+    (b"U??A??Ac?aC??A_?????_??A??A@@??g?`C??I??", None),
+    (b"U?a?S???@@A???OG?o??C?CGC@BOQ???ACA?????", None),
 ]
 
 
@@ -216,6 +257,74 @@ def test_find_pinned_witnesses():
         else:
             assert det.status == FOUND
             assert (det.witness.branch, det.witness.paths) == want
+
+
+# ---------------------------------------------------------------------------
+# simplicial peel
+
+def _random_chordal_edges(n, rng):
+    # each new vertex joins part of a clique that already exists, so the
+    # reverse insertion order is a perfect elimination order
+    edges = []
+    cliques = [(0,)]
+    for v in range(1, n):
+        base = rng.choice(cliques)
+        nbrs = rng.sample(base, rng.randint(1, len(base)))
+        edges += [(u, v) for u in nbrs]
+        cliques.append((*nbrs, v))
+    return edges
+
+
+def _k4_with_pendant_paths():
+    # K4 on 0..3 with a path of length 3 hung from 0 and one of length 2
+    # from 2: the peel eats the paths from their ends, then the K4
+    return graph_from_edges(9, list(combinations(range(4), 2))
+                            + [(0, 4), (4, 5), (5, 6), (2, 7), (7, 8)])
+
+
+def test_peel_matches_oracle_chordal_and_planted_clean():
+    rng = random.Random(61)
+    graphs = []
+    for extra in [0] * 25 + [1, 2, 3] * 9:
+        # extra edges close holes, so both verdicts occur
+        n = rng.randint(8, 16)
+        edges = _random_chordal_edges(n, rng)
+        for _ in range(extra):
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in edges:
+                edges.append((u, v))
+        graphs.append(graph_from_edges(n, edges))
+    while len(graphs) < 77:
+        g = planted_structured_graph(rng, "clean")
+        if 8 <= g.n <= 16:
+            graphs.append(g)
+    verdicts = set()
+    for g in graphs:
+        det = find_isk4plus(g)
+        assert det.status != BUDGET
+        assert det.found == (find_isk4plus_oracle(g) is not None)
+        if det.found:
+            assert verify_subdivision_witness(g, det.witness)
+        verdicts.add(det.status)
+    assert verdicts == {FOUND, NONE}
+
+
+def test_peel_proves_chordal_free_without_a_node():
+    g = graph_from_edges(40, _random_chordal_edges(40, random.Random(5)))
+    assert sum(g.adj[v].bit_count() >= 3 for v in range(g.n)) >= 4
+    assert find_isk4plus(g, budget=0).status == NONE
+
+
+def test_isk4_search_keeps_simplicial_vertices():
+    # K4 is all simplicial, so min_total = 4 must not peel
+    g = _k4_with_pendant_paths()
+    det = find_isk4plus(g, min_total=4)
+    assert det.status == FOUND and det.witness.branch == (0, 1, 2, 3)
+    assert find_isk4plus(g).status == NONE
+    assert passes_filters(g, ("isk4-free",), DEFAULT_NODE_BUDGET) == \
+        (False, False)
+    assert passes_filters(g, ("isk4p-free",), DEFAULT_NODE_BUDGET) == \
+        (True, False)
 
 
 def test_exhaustive_agreement_n5():
@@ -468,3 +577,13 @@ def test_chromatic_budget_covers_both_searches():
     assert chromatic_number_exact(g, budget=21) == 3
     with pytest.raises(SearchBudgetExceeded):
         chromatic_number_exact(g, budget=20)
+    # a known clique number skips the clique search and its 16 nodes
+    assert chromatic_number_exact(g, budget=5, omega=2) == 3
+
+
+def test_chromatic_with_known_omega_matches():
+    rng = random.Random(59)
+    for _ in range(40):
+        g = gnp_graph(rng.randint(0, 12), rng.choice([0.2, 0.5, 0.8]), rng)
+        assert chromatic_number_exact(g, omega=clique_number(g)) == \
+            chromatic_number_exact(g)
