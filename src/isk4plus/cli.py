@@ -268,9 +268,14 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    except (ValueError, OSError) as exc:
+        # an OSError that names a file comes from an input or output path
+        # argument that cannot be opened
+        if not isinstance(exc, OSError) or exc.filename is not None:
+            print(f"error: {exc}", file=sys.stderr)
+            return EX_USAGE
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EX_SOFTWARE
     except Exception as exc:  # internal assertion
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EX_SOFTWARE

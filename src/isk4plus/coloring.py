@@ -276,17 +276,15 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
                                  palette=len(M.parts),
                                  part_count=len(M.parts))
     try:
-        # H is connected, and only the masks are needed: the recursion
-        # stays on masks of G instead of the split's side graphs
-        masks = structure._structural_cutset_masks(H, M)
+        split = structure.find_structural_cutset(H, M)
     except structure.NotACliqueError as exc:
         # the fallback tag keeps the pair in H's indices
         return _low_degree_step(
             G, members, base, k, opts, False,
             f"cutset not a clique at {exc.pair}")
-    # members and outside are both nonempty here, so a split exists
-    assert masks is not None
-    clique, comp = (_lift(vmap, m) for m in masks)
+    # M leaves an outside vertex here, so a split exists
+    clique = _lift(vmap, split.clique)
+    comp = _lift(vmap, split.component)
     c1, n1 = _color_rec(G, members & ~comp, base, k, opts, False)
     c2, n2 = _color_rec(G, comp | clique, base, k, opts, False)
     merged = merge_on_clique(c1, c2, clique)

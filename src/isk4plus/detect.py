@@ -294,21 +294,16 @@ def find_isk4plus_oracle(G: Graph, *, ceiling: int = ORACLE_CEILING,
         raise ValueError(f"oracle ceiling exceeded: {n} > {ceiling}")
     if n < min_total:
         return None
-    adj = G.adj
     if n >= _VECTOR_MIN_N:
-        for S in _profile_candidates(adj, n, min_total):
-            w = witness_from_subset(G, int(S), min_total)
-            if w is not None:
-                return w
-        return None
-    for S in range(1 << n):
-        if S.bit_count() < min_total:
-            continue
-        res = _subset_subdivision(adj, S)
-        if res is not None:
-            branch, pathmap = res
-            paths = tuple(pathmap[slot] for slot in PAIR_SLOTS)
-            return SubdivisionWitness(branch, paths, S)
+        subsets = map(int, _profile_candidates(G.adj, n, min_total))
+    else:
+        # witness_from_subset tests the size too; testing it here spares
+        # a call for each of the many small subsets
+        subsets = (S for S in range(1 << n) if S.bit_count() >= min_total)
+    for S in subsets:
+        w = witness_from_subset(G, S, min_total)
+        if w is not None:
+            return w
     return None
 
 

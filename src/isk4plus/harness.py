@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import detect, structure
-from .formats import iter_graph6_lines, parse_graph6, write_graph6
+from .formats import iter_graph6_lines, write_graph6
 from .graph import Graph, graph_from_edges, is_connected
 
 ENUMERATION_CEILING = 7
@@ -248,14 +248,9 @@ def passes_filters(G: Graph, filters: tuple[str, ...],
         if f == "triangle-free":
             if has_triangle(G):
                 return False, False
-        elif f == "isk4p-free":
-            det = detect.find_isk4plus(G, budget=budget)
-            if det.status == detect.BUDGET:
-                return False, True
-            if det.found:
-                return False, False
-        elif f == "isk4-free":
-            det = detect.find_isk4plus(G, budget=budget, min_total=4)
+        elif f in ("isk4p-free", "isk4-free"):
+            det = detect.find_isk4plus(
+                G, budget=budget, min_total=5 if f == "isk4p-free" else 4)
             if det.status == detect.BUDGET:
                 return False, True
             if det.found:
@@ -332,6 +327,11 @@ def iter_config_graphs(cfg: CampaignConfig):
         raise ValueError(f"unknown source {cfg.source!r}")
 
 
+def _graph6_text(G: Graph) -> str:
+    """The graph6 record a report prints for G."""
+    return write_graph6(G).decode("ascii")
+
+
 def _map_tasks(jobs: int, fn, tasks):
     if jobs <= 1:
         for t in tasks:
@@ -353,15 +353,14 @@ class SurveyRow:
     example_graph6: str
 
 
-def _survey_task(args) -> tuple[bool, bool, int, int, int, str]:
-    g6, filters, budget = args
-    G = parse_graph6(g6)
+def _survey_task(args) -> tuple[bool, bool, int, int, Graph | None]:
+    G, filters, budget = args
     passed, budget_hit = passes_filters(G, filters, budget)
     if not passed:
-        return False, budget_hit, 0, 0, 0, ""
+        return False, budget_hit, 0, 0, None
     omega = detect.clique_number(G)
     chi = detect.chromatic_number_exact(G, omega=omega)
-    return True, False, G.n, omega, chi, g6.decode("ascii")
+    return True, False, omega, chi, G
 
 
 def survey_chi_vs_omega(cfg: CampaignConfig
@@ -369,11 +368,10 @@ def survey_chi_vs_omega(cfg: CampaignConfig
     """Bucket filtered graphs by (n, omega) and track the largest exact
     chromatic number seen, with one witness record per bucket."""
     cfg.validate()
-    tasks = ((write_graph6(G), cfg.filters, cfg.budget)
-             for G in iter_config_graphs(cfg))
+    tasks = ((G, cfg.filters, cfg.budget) for G in iter_config_graphs(cfg))
     buckets: dict[tuple[int, int], list] = {}
     stats = {"graphs": 0, "passed": 0, "budget_hits": 0}
-    for passed, budget_hit, n, omega, chi, g6 in _map_tasks(
+    for passed, budget_hit, omega, chi, G in _map_tasks(
             cfg.jobs, _survey_task, tasks):
         stats["graphs"] += 1
         if budget_hit:
@@ -382,17 +380,17 @@ def survey_chi_vs_omega(cfg: CampaignConfig
         if not passed:
             continue
         stats["passed"] += 1
-        key = (n, omega)
+        key = (G.n, omega)
         row = buckets.get(key)
         if row is None:
-            buckets[key] = [chi, 1, g6]
+            buckets[key] = [chi, 1, G]
         else:
             row[1] += 1
             if chi > row[0]:
                 row[0] = chi
-                row[2] = g6
-    rows = [SurveyRow(n, omega, chi, count, g6)
-            for (n, omega), (chi, count, g6) in sorted(buckets.items())]
+                row[2] = G
+    rows = [SurveyRow(n, omega, chi, count, _graph6_text(G))
+            for (n, omega), (chi, count, G) in sorted(buckets.items())]
     return rows, stats
 
 
@@ -412,10 +410,8 @@ def survey_to_csv(rows: list[SurveyRow]) -> str:
 # claims campaign
 
 def _claims_task(args) -> dict:
-    g6, budget, oracle_ceiling = args
-    G = parse_graph6(g6)
-    out = {"g6": g6.decode("ascii"), "status": "", "claim": 0,
-           "errors": []}
+    G, budget, oracle_ceiling = args
+    out = {"graph": G, "status": "", "claim": 0, "errors": []}
     seed = detect.find_induced_biclique(G, 4)
     if seed is None:
         out["status"] = "no-k44"
@@ -458,7 +454,8 @@ def _claims_task(args) -> dict:
         if split is None:
             out["errors"].append("cutset missing despite outside vertices")
             return out
-        if split.g1.n >= G.n or split.g2.n >= G.n:
+        if (not split.component
+                or split.component | split.clique == G.vertex_mask):
             out["errors"].append("cutset split failed to shrink the graph")
         out["split"] = True
     det = detect.find_isk4plus(G, budget=budget)
@@ -477,7 +474,7 @@ def verify_claims_campaign(cfg: CampaignConfig) -> dict:
     """Run the three structural checks over every streamed graph holding an
     induced K4,4 and tally the contrapositive consistency results."""
     cfg.validate()
-    tasks = ((write_graph6(G), cfg.budget, cfg.oracle_ceiling)
+    tasks = ((G, cfg.budget, cfg.oracle_ceiling)
              for G in iter_config_graphs(cfg))
     report = {
         "graphs": 0,
@@ -509,7 +506,7 @@ def verify_claims_campaign(cfg: CampaignConfig) -> dict:
             report["budget_hits"] += 1
         for err in rec["errors"]:
             report["consistency_failures"].append(
-                {"graph6": rec["g6"], "reason": err})
+                {"graph6": _graph6_text(rec["graph"]), "reason": err})
     return report
 
 
@@ -517,14 +514,12 @@ def verify_claims_campaign(cfg: CampaignConfig) -> dict:
 # cited bound checks
 
 def _bounds_task(args) -> dict:
-    g6, filters, budget = args
-    G = parse_graph6(g6)
+    G, filters, budget = args
     passed, budget_hit = passes_filters(G, filters, budget)
     if not passed:
         return {"passed": False, "budget": budget_hit}
     chi = detect.chromatic_number_exact(G)
-    return {"passed": True, "budget": False, "chi": chi,
-            "g6": g6.decode("ascii")}
+    return {"passed": True, "budget": False, "chi": chi, "graph": G}
 
 
 def check_cited_bounds(cfg: CampaignConfig) -> dict:
@@ -534,8 +529,7 @@ def check_cited_bounds(cfg: CampaignConfig) -> dict:
     if "isk4-free" not in cfg.filters:
         raise ValueError("cited bounds apply to the isk4-free filter")
     bound = 3 if "triangle-free" in cfg.filters else 24
-    tasks = ((write_graph6(G), cfg.filters, cfg.budget)
-             for G in iter_config_graphs(cfg))
+    tasks = ((G, cfg.filters, cfg.budget) for G in iter_config_graphs(cfg))
     report = {
         "bound": bound,
         "filters": list(cfg.filters),
@@ -557,9 +551,10 @@ def check_cited_bounds(cfg: CampaignConfig) -> dict:
         chi = rec["chi"]
         if chi > report["max_chi"]:
             report["max_chi"] = chi
-            report["max_chi_graph6"] = rec["g6"]
+            report["max_chi_graph6"] = _graph6_text(rec["graph"])
         if chi > bound:
-            report["violations"].append({"graph6": rec["g6"], "chi": chi})
+            report["violations"].append(
+                {"graph6": _graph6_text(rec["graph"]), "chi": chi})
     return report
 
 

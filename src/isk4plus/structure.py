@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import detect
-from .graph import (Graph, bit_list, components_within, induced_subgraph,
-                    is_connected, mask_of)
+from .graph import Graph, bit_list, components_within, mask_of
 
 
 class NotACliqueError(RuntimeError):
@@ -72,18 +71,14 @@ class ClaimViolation:
 
 @dataclass(frozen=True)
 class CutsetSplit:
-    """A clique cutset K and one component C of the remainder.
+    """A clique cutset K and one component C of G - K, as vertex masks.
 
-    g1 is induced on V - C, g2 on C union K; map1/map2 send child indices
-    back to the parent graph.
+    The two sides are V - C and C union K; they meet in K, and no edge
+    joins C to V - C - K.
     """
 
     clique: int
     component: int
-    g1: Graph
-    map1: tuple[int, ...]
-    g2: Graph
-    map2: tuple[int, ...]
 
 
 def multipartite_ok(G: Graph, w: MultipartiteWitness) -> bool:
@@ -188,6 +183,18 @@ def _build_violation(G: Graph, claim_id: int, actors: tuple[int, ...]
     return ClaimViolation(claim_id, actors, w)
 
 
+def _claim1_actors(v: int, row: int, vi: int, vj: int) -> tuple[int, ...]:
+    """Actors (v, a, b, c, d) for an outside vertex v with neighbor row,
+    two neighbors a, b in part vi and a neighbor c and non-neighbor d in
+    part vj; each is the lowest index that fits."""
+    a, b = _two_lowest(row & vi)
+    hit = row & vj
+    c = (hit & -hit).bit_length() - 1
+    miss = vj & ~row
+    d = (miss & -miss).bit_length() - 1
+    return (v, a, b, c, d)
+
+
 def check_claim1(G: Graph, w: MultipartiteWitness) -> ClaimViolation | None:
     """Every outside vertex with two neighbors in one part must be complete
     or anticomplete to every other part.
@@ -212,11 +219,7 @@ def check_claim1(G: Graph, w: MultipartiteWitness) -> ClaimViolation | None:
                 hit = row & vj
                 if hit == 0 or hit == vj:
                     continue
-                a, b = _two_lowest(row & vi)
-                c = (hit & -hit).bit_length() - 1
-                miss = vj & ~row
-                d = (miss & -miss).bit_length() - 1
-                return _build_violation(G, 1, (v, a, b, c, d))
+                return _build_violation(G, 1, _claim1_actors(v, row, vi, vj))
     return None
 
 
@@ -256,12 +259,8 @@ def check_claim2(G: Graph, w: MultipartiteWitness
                     mixed.append(j)
             if mixed:
                 # claim 1 territory; still produce a sound witness
-                vj = parts[mixed[0]]
-                hit = row & vj
-                c = (hit & -hit).bit_length() - 1
-                miss = vj & ~row
-                d = (miss & -miss).bit_length() - 1
-                return _build_violation(G, 2, (v, a, b, c, d))
+                return _build_violation(
+                    G, 2, _claim1_actors(v, row, vi, parts[mixed[0]]))
             if len(anti) >= 2:
                 u = (parts[anti[0]] & -parts[anti[0]]).bit_length() - 1
                 u2 = (parts[anti[1]] & -parts[anti[1]]).bit_length() - 1
@@ -418,42 +417,24 @@ def check_claim3(G: Graph, w: MultipartiteWitness) -> ClaimViolation | None:
 
 def find_structural_cutset(G: Graph, w: MultipartiteWitness
                            ) -> CutsetSplit | None:
-    """Clique-cutset split at the first component outside M.
+    """Clique-cutset split at the first component C outside M.
 
-    Returns None when every vertex is in M.  Raises NotACliqueError when
-    the component neighborhood has a non-adjacent pair, which means the
-    structural claims fail for this graph.
+    The cutset K is the neighborhood of C, and the split is the mask pair
+    (K, C).  Returns None when every vertex is in M.  G need not be
+    connected: a component that does not touch M is a component of G, so
+    K is empty, as in find_any_clique_cutset.  Raises NotACliqueError when
+    K has a non-adjacent pair, which means the structural claims fail for
+    this graph.
     """
-    if not is_connected(G):
-        raise ValueError("cutset extraction expects a connected graph")
-    masks = _structural_cutset_masks(G, w)
-    if masks is None:
-        return None
-    return _make_split(G, *masks)
-
-
-def _structural_cutset_masks(G: Graph, w: MultipartiteWitness
-                             ) -> tuple[int, int] | None:
-    """(clique, component) masks of find_structural_cutset, without the
-    connectivity check or the side graphs; G must be connected."""
     outside = G.vertex_mask & ~w.members
     if outside == 0:
         return None
     comp = components_within(G.adj, outside)[0]
     clique = _component_neighborhood(G.adj, comp)
-    verts = bit_list(clique)
-    for x, y in combinations(verts, 2):
+    for x, y in combinations(bit_list(clique), 2):
         if not (G.adj[x] >> y) & 1:
             raise NotACliqueError((x, y), clique)
-    return clique, comp
-
-
-def _make_split(G: Graph, clique: int, comp: int) -> CutsetSplit:
-    g1, map1 = induced_subgraph(G, G.vertex_mask & ~comp)
-    g2, map2 = induced_subgraph(G, comp | clique)
-    if not (g1.n < G.n and g2.n < G.n):
-        raise AssertionError("cutset split must shrink both sides")
-    return CutsetSplit(clique, comp, g1, map1, g2, map2)
+    return CutsetSplit(clique, comp)
 
 
 def find_any_clique_cutset(G: Graph, *, ceiling: int = 24
@@ -470,7 +451,7 @@ def find_any_clique_cutset(G: Graph, *, ceiling: int = 24
         return None
     comps = components_within(G.adj, G.vertex_mask)
     if len(comps) > 1:
-        return _make_split(G, 0, comps[0])
+        return CutsetSplit(0, comps[0])
     omega = detect.clique_number(G)
     for size in range(1, min(omega, n - 2) + 1):
         for verts in combinations(range(n), size):
@@ -487,5 +468,5 @@ def find_any_clique_cutset(G: Graph, *, ceiling: int = 24
                 continue
             parts = components_within(G.adj, rest)
             if len(parts) > 1:
-                return _make_split(G, kmask, parts[0])
+                return CutsetSplit(kmask, parts[0])
     return None

@@ -225,7 +225,8 @@ def _process_claims_graph(G, stats, failures):
             failures.append((write_graph6(G).decode(),
                              f"claims pass, cutset broken at {exc.pair}"))
             return
-        if split is None or split.g1.n >= G.n or split.g2.n >= G.n:
+        if (split is None or not split.component
+                or split.component | split.clique == G.vertex_mask):
             failures.append((write_graph6(G).decode(), "bad cutset split"))
             return
         stats["splits"] += 1

@@ -160,6 +160,23 @@ def test_bad_budget_exit_64(capsys, argv):
     assert "argument --budget" in err and "seed=" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("detect", "{missing}"),
+    ("color", "{missing}"),
+    ("survey", "--source", "graph6", "--input", "{missing}"),
+    ("detect", "-", "--output", "{missing}/x"),
+], ids=["detect-input", "color-input", "survey-input", "detect-output"])
+def test_missing_path_exit_64(capsys, monkeypatch, tmp_path, argv):
+    import io
+    missing = str(tmp_path / "missing")
+    rec = write_graph6(k4_plus_graph()).decode()
+    monkeypatch.setattr("sys.stdin", io.StringIO(rec + "\n"))
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 64
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ") and missing in err
+
+
 def test_malformed_graph6_exit_65(capsys, tmp_path):
     p = tmp_path / "bad.g6"
     p.write_bytes(b"C~\nD?\n")

@@ -174,6 +174,8 @@ def test_claim2_handles_unmet_preconditions_soundly():
     m = MultipartiteWitness((A, B))
     v = check_claim2(g, m)
     assert isinstance(v, ClaimViolation) and v.claim_id == 2
+    # the same actors that check_claim1 picks on this graph
+    assert v.actors == (8, 0, 1, 4, 5)
     assert verify_subdivision_witness(g, v.constructed)
 
 
@@ -292,21 +294,26 @@ def test_cutset_not_a_clique_signals_violated_claims():
     assert exc.value.pair == (0, 1)
 
 
-def test_cutset_requires_connected():
+def test_cutset_disconnected_uses_empty_clique():
     g = graph_from_edges(9, K44_EDGES)  # vertex 8 isolated
     m = grow_maximal_multipartite(g, k44_seed())
-    with pytest.raises(ValueError, match="connected"):
-        find_structural_cutset(g, m)
+    split = find_structural_cutset(g, m)
+    assert split.clique == 0
+    assert split.component == 1 << 8
+    _assert_split_wellformed(g, split)
 
 
 def _assert_split_wellformed(g, split):
-    assert split.g1.n < g.n and split.g2.n < g.n
-    v1 = set(split.map1)
-    v2 = set(split.map2)
-    assert v1 | v2 == set(range(g.n))
-    assert v1 & v2 == set(bit_list(split.clique))
+    side1 = g.vertex_mask & ~split.component
+    side2 = split.component | split.clique
+    assert side1 != g.vertex_mask and side2 != g.vertex_mask
+    assert side1 | side2 == g.vertex_mask
+    assert side1 & side2 == split.clique
     for x, y in combinations(bit_list(split.clique), 2):
         assert (g.adj[x] >> y) & 1
+    beyond = g.vertex_mask & ~side2
+    for v in bit_list(split.component):
+        assert g.adj[v] & beyond == 0
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,10 @@ def _color_rec(H, vmap, base, k, opts):
             return _low_degree_step(
                 H, vmap, base, k, opts,
                 fallback=f"cutset not a clique at {exc.pair}")
-        c1, n1 = _color_rec(split.g1, tuple(vmap[i] for i in split.map1),
-                            base, k, opts)
-        c2, n2 = _color_rec(split.g2, tuple(vmap[i] for i in split.map2),
-                            base, k, opts)
+        g1, map1 = induced_subgraph(H, H.vertex_mask & ~split.component)
+        g2, map2 = induced_subgraph(H, split.component | split.clique)
+        c1, n1 = _color_rec(g1, tuple(vmap[i] for i in map1), base, k, opts)
+        c2, n2 = _color_rec(g2, tuple(vmap[i] for i in map2), base, k, opts)
         merged = merge_on_clique(
             c1, c2, [vmap[v] for v in bit_list(split.clique)])
         node = TraceNode(
