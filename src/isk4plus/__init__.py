@@ -16,8 +16,8 @@ from .detect import (BicliqueWitness, Detection, SubdivisionWitness,
                      verify_subdivision_witness)
 from .structure import (ClaimViolation, CutsetSplit, MaximalityBreach,
                         MultipartiteWitness, check_claim1, check_claim2,
-                        check_claim3, find_any_clique_cutset,
-                        find_structural_cutset, grow_maximal_multipartite)
+                        check_claim3, find_structural_cutset,
+                        grow_maximal_multipartite)
 from .coloring import (ColorOptions, TraceNode, color_isk4plus_free,
                        greedy_extend, merge_on_clique, verify_proper)
 
@@ -35,7 +35,6 @@ __all__ = [
     "MultipartiteWitness", "ClaimViolation", "MaximalityBreach",
     "CutsetSplit", "grow_maximal_multipartite", "check_claim1",
     "check_claim2", "check_claim3", "find_structural_cutset",
-    "find_any_clique_cutset",
     "ColorOptions", "TraceNode", "greedy_extend", "merge_on_clique",
     "color_isk4plus_free", "verify_proper",
 ]

@@ -1,9 +1,11 @@
 """Recursive proper coloring driven by the structural decomposition.
 
-The recursion works on vertex masks of the input graph.  It colors small
-sets directly, splits disconnected ones, and otherwise looks for an
-induced K4,4.  Without one it removes a minimum-degree vertex and extends
-greedily on the way back; having no induced K4,4 is hereditary, so that
+The recursion works on vertex masks of the input graph, and so do the
+K4,4 search, the multipartite growth and the cutset it calls, so it uses
+one index space and builds no subgraph.  It colors small sets directly,
+splits disconnected ones, and otherwise looks for an induced K4,4.
+Without one it removes a minimum-degree vertex and extends greedily on
+the way back; having no induced K4,4 is hereditary, so that
 chain never searches again.  With one it grows the complete multipartite
 set M and recurses across the clique cutset that M induces, merging the
 two side colorings on the cutset.  The output is a proper coloring for
@@ -20,7 +22,7 @@ from typing import Mapping
 
 from . import detect, structure
 from .graph import (Coloring, Graph, bit_list, coloring_from_map,
-                    components_within, induced_subgraph, iter_bits)
+                    components_within, iter_bits)
 
 # known Ramsey numbers R(4, k); used only to size the K_{s,s} search when
 # the biclique-then-extract route is requested
@@ -195,29 +197,23 @@ def _palette_of(colors: dict[int, int]) -> int:
     return 1 + max(colors.values()) if colors else 0
 
 
-def _find_seed(H: Graph, k: int, opts: ColorOptions):
-    """Locate an induced K4,4 in H, directly or via K_{s,s} + extraction."""
+def _find_seed(G: Graph, members: int, k: int, opts: ColorOptions):
+    """Locate an induced K4,4 within members, directly or via K_{s,s} +
+    extraction."""
     if not opts.via_ramsey:
-        return detect.find_induced_biclique(H, 4, budget=opts.detector_budget)
+        return detect.find_induced_biclique(G, 4, budget=opts.detector_budget,
+                                            members=members)
     s = RAMSEY_R4[k]
-    if H.n < 2 * s:
+    if members.bit_count() < 2 * s:
         return None
-    sub = detect.find_biclique_subgraph(H, s)
+    sub = detect.find_biclique_subgraph(G, s, members=members)
     if sub is None:
         return None
     try:
-        return detect.ramsey_extract_k44(H, sub, k)
+        return detect.ramsey_extract_k44(G, sub, k)
     except detect.CliquePreconditionError:
         # the promised clique bound was wrong; fall back to degeneracy
         return None
-
-
-def _lift(vmap, mask: int) -> int:
-    """Map a vertex mask of an induced subgraph back to the input graph."""
-    out = 0
-    for v in iter_bits(mask):
-        out |= 1 << vmap[v]
-    return out
 
 
 def _color_rec(G: Graph, members: int, base: int, k: int,
@@ -225,7 +221,8 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
                ) -> tuple[dict[int, int], TraceNode]:
     """Color the subgraph of G induced on the vertex mask members.
 
-    Colors and trace vertices use G's own indices.  free says that members
+    Every search runs on (G, members), so colors, trace vertices and the
+    seed, M and cutset all use G's own indices.  free says that members
     is known to induce no K4,4, so the search is skipped.
     """
     n = members.bit_count()
@@ -248,14 +245,8 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
     if free:
         return _low_degree_step(G, members, base, k, opts, True, None)
 
-    # the search needs a Graph of its own; induced subgraphs keep vertex
-    # order, so H's vertex i is the i-th lowest member
-    if members == G.vertex_mask:
-        H, vmap = G, range(G.n)
-    else:
-        H, vmap = induced_subgraph(G, members)
     try:
-        seed = _find_seed(H, k, opts)
+        seed = _find_seed(G, members, k, opts)
     except detect.SearchBudgetExceeded as exc:
         raise ColoringBudgetError(str(exc), TraceNode("low-degree")) from exc
 
@@ -266,25 +257,26 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
         return _low_degree_step(G, members, base, k, opts,
                                 not opts.via_ramsey, None)
 
-    M = structure.grow_maximal_multipartite(H, seed)
-    if M.members == H.vertex_mask:
+    M = structure.grow_maximal_multipartite(G, seed, members=members)
+    if M.members == members:
         colors = {}
         for idx, part in enumerate(M.parts):
             for v in iter_bits(part):
-                colors[vmap[v]] = idx
+                colors[v] = idx
         return colors, TraceNode("multipartite-direct",
                                  palette=len(M.parts),
                                  part_count=len(M.parts))
     try:
-        split = structure.find_structural_cutset(H, M)
+        split = structure.find_structural_cutset(G, M, members=members)
     except structure.NotACliqueError as exc:
-        # the fallback tag keeps the pair in H's indices
+        # the tag names each vertex by its rank among members
+        pair = tuple((members & ((1 << v) - 1)).bit_count()
+                     for v in exc.pair)
         return _low_degree_step(
             G, members, base, k, opts, False,
-            f"cutset not a clique at {exc.pair}")
+            f"cutset not a clique at {pair}")
     # M leaves an outside vertex here, so a split exists
-    clique = _lift(vmap, split.clique)
-    comp = _lift(vmap, split.component)
+    clique, comp = split.clique, split.component
     c1, n1 = _color_rec(G, members & ~comp, base, k, opts, False)
     c2, n2 = _color_rec(G, comp | clique, base, k, opts, False)
     merged = merge_on_clique(c1, c2, clique)

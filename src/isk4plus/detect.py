@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, bit_list, lowest_bits
+from .graph import Graph, _as_mask, bit_list, lowest_bits
 
 # status values for budget-limited searches
 FOUND = "found"
@@ -485,6 +485,11 @@ def _search_quad(adj, quad, min_total, spend, keep):
 # ---------------------------------------------------------------------------
 # bicliques
 
+def _members_of(G: Graph, members: int | None) -> int:
+    """The vertex mask a search runs on: all of G when members is None."""
+    return G.vertex_mask if members is None else _as_mask(G, members)
+
+
 def _validate_sides(G: Graph, side_a: int, side_b: int) -> None:
     if side_a & side_b:
         raise ValueError("biclique sides overlap")
@@ -495,18 +500,21 @@ def _validate_sides(G: Graph, side_a: int, side_b: int) -> None:
             raise ValueError(f"vertex {a} misses part of the far side")
 
 
-def find_biclique_subgraph(G: Graph, s: int) -> BicliqueWitness | None:
+def find_biclique_subgraph(G: Graph, s: int, *, members: int | None = None
+                           ) -> BicliqueWitness | None:
     """Smallest K_{s,s} subgraph (sides need not be stable), or None.
 
     Side A is grown vertex by vertex in ascending order while intersecting
     the common neighborhood; side B is the lexicographically least s-subset
-    of the final common neighborhood.
+    of the final common neighborhood.  members restricts the search to the
+    subgraph induced on that vertex mask (default: all of G).
     """
     if s < 1:
         raise ValueError("s must be positive")
-    n = G.n
+    members = _members_of(G, members)
     adj = G.adj
-    cand = [v for v in range(n) if adj[v].bit_count() >= s]
+    cand = [v for v in range(G.n)
+            if (members >> v) & 1 and (adj[v] & members).bit_count() >= s]
     if len(cand) < s:
         return None
 
@@ -525,7 +533,7 @@ def find_biclique_subgraph(G: Graph, s: int) -> BicliqueWitness | None:
                 return hit
         return None
 
-    hit = grow(0, 0, 0, G.vertex_mask)
+    hit = grow(0, 0, 0, members)
     if hit is None:
         return None
     a, b = hit
@@ -559,20 +567,25 @@ def _smallest_stable_subset(adj, pool: int, s: int,
     return grow(0, 0, 0, pool)
 
 
-def find_induced_biclique(G: Graph, s: int,
-                          budget: int | None = None) -> BicliqueWitness | None:
+def find_induced_biclique(G: Graph, s: int, budget: int | None = None, *,
+                          members: int | None = None
+                          ) -> BicliqueWitness | None:
     """Smallest induced K_{s,s}: both sides stable, all cross edges present.
 
     An optional node budget raises SearchBudgetExceeded when exhausted.
+    members restricts the search to the subgraph induced on that vertex
+    mask (default: all of G); the search visits the same nodes as on that
+    induced subgraph, and the sides are in G's indices.
     """
     if s < 1:
         raise ValueError("s must be positive")
     spend = _spender(budget, "induced biclique search budget")
-    n = G.n
+    members = _members_of(G, members)
     adj = G.adj
-    if n < 2 * s:
+    if members.bit_count() < 2 * s:
         return None
-    cand = [v for v in range(n) if adj[v].bit_count() >= s]
+    cand = [v for v in range(G.n)
+            if (members >> v) & 1 and (adj[v] & members).bit_count() >= s]
     if len(cand) < 2 * s:
         return None
 
@@ -597,7 +610,7 @@ def find_induced_biclique(G: Graph, s: int,
                 return hit
         return None
 
-    hit = grow(0, 0, 0, G.vertex_mask, G.vertex_mask)
+    hit = grow(0, 0, 0, members, members)
     if hit is None:
         return None
     a, b = hit

@@ -113,10 +113,6 @@ def degree(G: Graph, v: int) -> int:
     return neighbors(G, v).bit_count()
 
 
-def has_edge(G: Graph, u: int, v: int) -> bool:
-    return bool((G.adj[u] >> v) & 1)
-
-
 def edge_count(G: Graph) -> int:
     return sum(r.bit_count() for r in G.adj) // 2
 
@@ -227,9 +223,6 @@ class Coloring:
     @property
     def palette_size(self) -> int:
         return 1 + max(self.colors) if self.colors else 0
-
-    def as_map(self) -> dict[int, int]:
-        return dict(enumerate(self.colors))
 
 
 def coloring_from_map(n: int, mapping: dict[int, int]) -> Coloring:

@@ -277,7 +277,6 @@ class CampaignConfig:
     filters: tuple[str, ...] = ()
     jobs: int = 1
     budget: int | None = detect.DEFAULT_NODE_BUDGET
-    oracle_ceiling: int = detect.ORACLE_CEILING
 
     def validate(self) -> None:
         if self.source == "enumerate" and self.max_n > ENUMERATION_CEILING:
@@ -410,7 +409,7 @@ def survey_to_csv(rows: list[SurveyRow]) -> str:
 # claims campaign
 
 def _claims_task(args) -> dict:
-    G, budget, oracle_ceiling = args
+    G, budget = args
     out = {"graph": G, "status": "", "claim": 0, "errors": []}
     seed = detect.find_induced_biclique(G, 4)
     if seed is None:
@@ -461,7 +460,7 @@ def _claims_task(args) -> dict:
     det = detect.find_isk4plus(G, budget=budget)
     if det.status == detect.BUDGET:
         out["status"] = "budget"
-    elif not det.found and G.n <= oracle_ceiling:
+    elif not det.found and G.n <= detect.ORACLE_CEILING:
         # class membership confirmed by the subset oracle
         if detect.find_isk4plus_oracle(G) is not None:
             out["errors"].append("detector and oracle verdicts disagree")
@@ -474,8 +473,7 @@ def verify_claims_campaign(cfg: CampaignConfig) -> dict:
     """Run the three structural checks over every streamed graph holding an
     induced K4,4 and tally the contrapositive consistency results."""
     cfg.validate()
-    tasks = ((G, cfg.budget, cfg.oracle_ceiling)
-             for G in iter_config_graphs(cfg))
+    tasks = ((G, cfg.budget) for G in iter_config_graphs(cfg))
     report = {
         "graphs": 0,
         "no_k44": 0,
@@ -557,33 +555,3 @@ def check_cited_bounds(cfg: CampaignConfig) -> dict:
                 {"graph6": _graph6_text(rec["graph"]), "chi": chi})
     return report
 
-
-# ---------------------------------------------------------------------------
-# detector agreement sweep (acceptance support)
-
-def detector_agreement_stats(n: int, start: int, stop: int,
-                             budget: int | None = detect.DEFAULT_NODE_BUDGET
-                             ) -> dict:
-    """Compare find_isk4plus against the subset oracle over a slice of the
-    labeled enumeration of n-vertex graphs (edge bitmasks start..stop)."""
-    pairs = pair_index_list(n)
-    stats = {"graphs": 0, "found": 0, "budget": 0, "disagreements": [],
-             "witnesses": 0, "witness_failures": 0}
-    for mask in range(start, stop):
-        G = graph_from_edge_mask(n, mask, pairs)
-        det = detect.find_isk4plus(G, budget=budget)
-        if det.status == detect.BUDGET:
-            stats["budget"] += 1
-            continue
-        oracle = detect.find_isk4plus_oracle(G)
-        stats["graphs"] += 1
-        if det.found != (oracle is not None):
-            stats["disagreements"].append(mask)
-            continue
-        if det.found:
-            stats["found"] += 1
-            for w in (det.witness, oracle):
-                stats["witnesses"] += 1
-                if not detect.verify_subdivision_witness(G, w):
-                    stats["witness_failures"] += 1
-    return stats

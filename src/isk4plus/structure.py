@@ -120,15 +120,19 @@ def _addable_part(adj, parts, v: int) -> int | None:
 
 
 def grow_maximal_multipartite(G: Graph,
-                              seed: detect.BicliqueWitness
+                              seed: detect.BicliqueWitness, *,
+                              members: int | None = None
                               ) -> MultipartiteWitness:
     """Extend an induced K4,4 seed to an inclusion-maximal complete
-    multipartite set.
+    multipartite set within the vertex mask members (default: all of G).
 
     Vertices are scanned in ascending index order; joining an existing part
     (earliest-created first) is preferred over opening a singleton part.
     """
+    scope = detect._members_of(G, members)
     detect._validate_sides(G, seed.side_a, seed.side_b)
+    if (seed.side_a | seed.side_b) & ~scope:
+        raise ValueError("seed sides must lie in members")
     if seed.side_a.bit_count() < 4 or seed.side_b.bit_count() < 4:
         raise ValueError("seed sides must have at least 4 vertices")
     adj = G.adj
@@ -142,7 +146,7 @@ def grow_maximal_multipartite(G: Graph,
     while changed:
         changed = False
         for v in range(G.n):
-            if (members >> v) & 1:
+            if (members >> v) & 1 or not (scope >> v) & 1:
                 continue
             slot = _addable_part(adj, parts, v)
             if slot is None:
@@ -415,58 +419,26 @@ def check_claim3(G: Graph, w: MultipartiteWitness) -> ClaimViolation | None:
     return _build_violation(G, 3, actors)
 
 
-def find_structural_cutset(G: Graph, w: MultipartiteWitness
-                           ) -> CutsetSplit | None:
-    """Clique-cutset split at the first component C outside M.
+def find_structural_cutset(G: Graph, w: MultipartiteWitness, *,
+                           members: int | None = None) -> CutsetSplit | None:
+    """Clique-cutset split at the first component C outside M, in the
+    subgraph induced on the vertex mask members (default: all of G).
 
-    The cutset K is the neighborhood of C, and the split is the mask pair
-    (K, C).  Returns None when every vertex is in M.  G need not be
-    connected: a component that does not touch M is a component of G, so
-    K is empty, as in find_any_clique_cutset.  Raises NotACliqueError when
-    K has a non-adjacent pair, which means the structural claims fail for
+    The cutset K is the neighborhood of C within members, and the split is
+    the mask pair (K, C).  Returns None when every member is in M.  The
+    subgraph need not be connected: a component that does not touch M is
+    one of its components, so K is empty.  Raises NotACliqueError when K
+    has a non-adjacent pair, which means the structural claims fail for
     this graph.
     """
-    outside = G.vertex_mask & ~w.members
+    members = detect._members_of(G, members)
+    outside = members & ~w.members
     if outside == 0:
         return None
     comp = components_within(G.adj, outside)[0]
-    clique = _component_neighborhood(G.adj, comp)
+    clique = _component_neighborhood(G.adj, comp) & members
     for x, y in combinations(bit_list(clique), 2):
         if not (G.adj[x] >> y) & 1:
             raise NotACliqueError((x, y), clique)
     return CutsetSplit(clique, comp)
 
-
-def find_any_clique_cutset(G: Graph, *, ceiling: int = 24
-                           ) -> CutsetSplit | None:
-    """Exhaustive clique-cutset oracle, smallest cliques first.
-
-    For a disconnected graph the empty clique qualifies.  Intended for
-    tests on small graphs only.
-    """
-    n = G.n
-    if n > ceiling:
-        raise ValueError(f"clique cutset oracle ceiling exceeded: {n}")
-    if n == 0:
-        return None
-    comps = components_within(G.adj, G.vertex_mask)
-    if len(comps) > 1:
-        return CutsetSplit(0, comps[0])
-    omega = detect.clique_number(G)
-    for size in range(1, min(omega, n - 2) + 1):
-        for verts in combinations(range(n), size):
-            ok = True
-            for x, y in combinations(verts, 2):
-                if not (G.adj[x] >> y) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            kmask = mask_of(verts)
-            rest = G.vertex_mask & ~kmask
-            if rest == 0:
-                continue
-            parts = components_within(G.adj, rest)
-            if len(parts) > 1:
-                return CutsetSplit(kmask, parts[0])
-    return None

@@ -405,7 +405,7 @@ def test_k44_free_chain_searches_once(monkeypatch):
     search = detect.find_induced_biclique
 
     def counted(*args, **kwargs):
-        calls.append(args[0].n)
+        calls.append(kwargs["members"].bit_count())
         return search(*args, **kwargs)
 
     monkeypatch.setattr(detect, "find_induced_biclique", counted)

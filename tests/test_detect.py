@@ -19,12 +19,12 @@ from isk4plus.formats import parse_graph6
 from isk4plus.graph import (bit_list, graph_from_edges, induced_subgraph,
                             mask_of)
 from isk4plus.harness import (complete_graph, complete_multipartite,
-                              cycle_graph, detector_agreement_stats,
-                              gnp_graph, k4_plus_graph, passes_filters,
-                              petersen_graph, planted_k44_graph,
-                              planted_structured_graph)
+                              cycle_graph, gnp_graph, k4_plus_graph,
+                              passes_filters, petersen_graph,
+                              planted_k44_graph, planted_structured_graph)
 
 from util_brute import brute_chromatic_number, brute_clique_number
+from util_exhaustive import detector_agreement_stats
 
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
 

@@ -6,21 +6,23 @@ from itertools import combinations
 
 import pytest
 
-from isk4plus.detect import (BicliqueWitness, find_induced_biclique,
+from isk4plus.detect import (BicliqueWitness, SearchBudgetExceeded,
+                             find_biclique_subgraph, find_induced_biclique,
                              find_isk4plus, find_isk4plus_oracle,
                              verify_subdivision_witness)
-from isk4plus.graph import (bit_list, graph_from_edges, is_connected,
-                            mask_of)
+from isk4plus.graph import (bit_list, graph_from_edges, induced_subgraph,
+                            is_connected, mask_of)
 from isk4plus.harness import (complete_multipartite, cycle_graph,
                               gnp_graph, path_graph, planted_k44_graph,
                               planted_structured_graph)
 from isk4plus.structure import (ClaimViolation, MaximalityBreach,
                                 MultipartiteWitness, NotACliqueError,
                                 check_claim1, check_claim2, check_claim3,
-                                find_any_clique_cutset,
                                 find_structural_cutset,
                                 grow_maximal_multipartite, multipartite_ok,
                                 multipartite_is_maximal)
+
+from util_exhaustive import find_any_clique_cutset
 
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
 A = mask_of(range(4))
@@ -371,6 +373,121 @@ def test_structural_cutset_matches_oracle_existence():
 
 
 # ---------------------------------------------------------------------------
+# vertex-mask arguments
+
+def _lift(vmap, mask):
+    return mask_of(vmap[v] for v in bit_list(mask))
+
+
+def _lift_biclique(vmap, w):
+    if w is None:
+        return None
+    return (_lift(vmap, w.side_a), _lift(vmap, w.side_b), w.induced)
+
+
+def _biclique_tuple(w):
+    return None if w is None else (w.side_a, w.side_b, w.induced)
+
+
+def _cutset_outcome(g, m, members=None):
+    try:
+        split = find_structural_cutset(g, m, members=members)
+    except NotACliqueError as exc:
+        return "not-a-clique", exc.pair, exc.neighborhood
+    if split is None:
+        return None
+    return "split", split.clique, split.component
+
+
+def _budget_outcomes(g, members=None):
+    out = []
+    for budget in range(51):
+        try:
+            find_induced_biclique(g, 4, budget, members=members)
+            out.append(False)
+        except SearchBudgetExceeded:
+            out.append(True)
+    return out
+
+
+def test_mask_arguments_match_induced_subgraph():
+    """Each search on (G, mask) equals the same search on the induced
+    subgraph, lifted back to G's indices."""
+    rng = random.Random(4041)
+    seen = {"seed": 0, "none": 0, "direct": 0, "split": 0,
+            "not-a-clique": 0, "budget-mixed": 0}
+    for i in range(48):
+        n = rng.randint(8, 40)
+        if i % 2:
+            g = planted_k44_graph(n, rng.choice([0.1, 0.2, 0.3]), rng)
+        else:
+            g = gnp_graph(n, rng.choice([0.2, 0.35, 0.5]), rng)
+        for j in range(3):
+            keep = rng.choice([0.6, 0.8, 0.95])
+            if i % 2 and j == 1:
+                keep = 0.1  # little beyond the core: M may cover the mask
+            m = mask_of(v for v in range(n) if rng.random() < keep)
+            if i % 2 and j < 2:
+                m |= mask_of(range(8))  # keep the planted K4,4
+            h, vmap = induced_subgraph(g, m)
+
+            for s in (2, 4):
+                assert _biclique_tuple(find_biclique_subgraph(
+                    g, s, members=m)) == _lift_biclique(
+                    vmap, find_biclique_subgraph(h, s))
+            outcomes = _budget_outcomes(g, m)
+            assert outcomes == _budget_outcomes(h)
+            if any(outcomes) and not all(outcomes):
+                seen["budget-mixed"] += 1
+
+            seed_h = find_induced_biclique(h, 4)
+            seed = find_induced_biclique(g, 4, members=m)
+            assert _biclique_tuple(seed) == _lift_biclique(vmap, seed_h)
+            if seed is None:
+                seen["none"] += 1
+                continue
+            seen["seed"] += 1
+
+            grown_h = grow_maximal_multipartite(h, seed_h)
+            grown = grow_maximal_multipartite(g, seed, members=m)
+            assert grown.parts == tuple(_lift(vmap, p)
+                                        for p in grown_h.parts)
+
+            cut_h = _cutset_outcome(h, grown_h)
+            cut = _cutset_outcome(g, grown, m)
+            if cut_h is None:
+                assert cut is None and grown.members == m
+                seen["direct"] += 1
+            elif cut_h[0] == "split":
+                assert cut == ("split", _lift(vmap, cut_h[1]),
+                               _lift(vmap, cut_h[2]))
+                seen["split"] += 1
+            else:
+                x, y = cut_h[1]
+                assert cut == ("not-a-clique", (vmap[x], vmap[y]),
+                               _lift(vmap, cut_h[2]))
+                seen["not-a-clique"] += 1
+    assert all(count >= 3 for count in seen.values()), seen
+
+
+def test_mask_arguments_reject_bits_outside_the_graph():
+    g = k44_plus([(8, 0)])
+    outside = g.vertex_mask | 1 << g.n
+    with pytest.raises(ValueError):
+        find_induced_biclique(g, 4, members=outside)
+    with pytest.raises(ValueError):
+        find_biclique_subgraph(g, 4, members=outside)
+    m = grow_maximal_multipartite(g, k44_seed())
+    with pytest.raises(ValueError):
+        grow_maximal_multipartite(g, k44_seed(), members=outside)
+    with pytest.raises(ValueError):
+        find_structural_cutset(g, m, members=outside)
+    with pytest.raises(ValueError, match="members"):
+        grow_maximal_multipartite(g, k44_seed(),
+                                  members=g.vertex_mask & ~1)
+
+
+# ---------------------------------------------------------------------------
 # contrapositive suite
 
 def test_contrapositive_random_suite():
@@ -397,9 +514,7 @@ def test_contrapositive_random_suite():
             det = find_isk4plus(g)
             assert det.found
             assert verify_subdivision_witness(g, det.witness)
-            oracle_sub, _ = __import__(
-                "isk4plus.graph", fromlist=["induced_subgraph"]
-            ).induced_subgraph(g, violation.constructed.total)
+            oracle_sub, _ = induced_subgraph(g, violation.constructed.total)
             assert find_isk4plus_oracle(oracle_sub) is not None
         else:
             if find_isk4plus_oracle(g) is None:
