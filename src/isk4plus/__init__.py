@@ -3,9 +3,8 @@ detection, Ramsey-style biclique extraction, complete multipartite
 structure with clique cutsets, and the recursive coloring built on them.
 """
 
-from .graph import (Coloring, Graph, coloring_from_map, components, degree,
-                    graph_from_edges, induced_subgraph, is_connected,
-                    neighbors, relation_to_set)
+from .graph import (Coloring, Graph, coloring_from_map, components,
+                    graph_from_edges, induced_subgraph, is_connected)
 from .formats import (FormatError, parse_graph6, read_dimacs, read_edgelist,
                       write_graph6)
 from .detect import (BicliqueWitness, Detection, SubdivisionWitness,
@@ -19,12 +18,11 @@ from .structure import (ClaimViolation, CutsetSplit, MaximalityBreach,
                         check_claim3, find_structural_cutset,
                         grow_maximal_multipartite)
 from .coloring import (ColorOptions, TraceNode, color_isk4plus_free,
-                       greedy_extend, merge_on_clique, verify_proper)
+                       merge_on_clique, verify_proper)
 
 __all__ = [
     "Graph", "Coloring", "graph_from_edges", "coloring_from_map",
-    "neighbors", "degree", "induced_subgraph", "components", "is_connected",
-    "relation_to_set",
+    "induced_subgraph", "components", "is_connected",
     "FormatError", "parse_graph6", "write_graph6", "read_edgelist",
     "read_dimacs",
     "SubdivisionWitness", "BicliqueWitness", "Detection",
@@ -35,6 +33,6 @@ __all__ = [
     "MultipartiteWitness", "ClaimViolation", "MaximalityBreach",
     "CutsetSplit", "grow_maximal_multipartite", "check_claim1",
     "check_claim2", "check_claim3", "find_structural_cutset",
-    "ColorOptions", "TraceNode", "greedy_extend", "merge_on_clique",
-    "color_isk4plus_free", "verify_proper",
+    "ColorOptions", "TraceNode", "merge_on_clique", "color_isk4plus_free",
+    "verify_proper",
 ]

@@ -30,11 +30,7 @@ RAMSEY_R4 = {2: 4, 3: 9, 4: 18, 5: 25}
 
 
 class ColoringBudgetError(RuntimeError):
-    """A detector budget ran out while coloring; carries the partial trace."""
-
-    def __init__(self, message: str, trace: "TraceNode | None" = None):
-        super().__init__(message)
-        self.trace = trace
+    """A detector budget ran out while coloring."""
 
 
 @dataclass
@@ -83,32 +79,6 @@ class ColorOptions:
     base_size: int | None = None
     via_ramsey: bool = False
     detector_budget: int | None = None
-
-
-def greedy_extend(G: Graph, partial: Mapping[int, int], v: int,
-                  palette: int) -> Coloring:
-    """Extend a proper coloring of G - v by giving v the smallest palette
-    color missing from its neighborhood."""
-    if not 0 <= v < G.n:
-        raise ValueError(f"vertex {v} out of range")
-    used = 0
-    row = G.adj[v]
-    while row:
-        b = row & -row
-        row ^= b
-        u = b.bit_length() - 1
-        if u not in partial:
-            raise ValueError(f"neighbor {u} is uncolored")
-        used |= 1 << partial[u]
-    c = 0
-    while (used >> c) & 1:
-        c += 1
-    if c >= palette:
-        raise ValueError(
-            f"all {palette} palette colors blocked at vertex {v}")
-    full = dict(partial)
-    full[v] = c
-    return coloring_from_map(G.n, full)
 
 
 def merge_on_clique(c1: Mapping[int, int], c2: Mapping[int, int],
@@ -248,7 +218,7 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
     try:
         seed = _find_seed(G, members, k, opts)
     except detect.SearchBudgetExceeded as exc:
-        raise ColoringBudgetError(str(exc), TraceNode("low-degree")) from exc
+        raise ColoringBudgetError(str(exc)) from exc
 
     if seed is None:
         # no induced K4,4 is hereditary, so every graph that the low-degree
@@ -269,12 +239,9 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
     try:
         split = structure.find_structural_cutset(G, M, members=members)
     except structure.NotACliqueError as exc:
-        # the tag names each vertex by its rank among members
-        pair = tuple((members & ((1 << v) - 1)).bit_count()
-                     for v in exc.pair)
         return _low_degree_step(
             G, members, base, k, opts, False,
-            f"cutset not a clique at {pair}")
+            f"cutset not a clique at {exc.pair}")
     # M leaves an outside vertex here, so a split exists
     clique, comp = split.clique, split.component
     c1, n1 = _color_rec(G, members & ~comp, base, k, opts, False)

@@ -284,14 +284,14 @@ def _profile_candidates(adj, n: int, min_total: int):
 _VECTOR_MIN_N = 11
 
 
-def find_isk4plus_oracle(G: Graph, *, ceiling: int = ORACLE_CEILING,
-                         min_total: int = 5) -> SubdivisionWitness | None:
+def find_isk4plus_oracle(G: Graph, *, min_total: int = 5
+                         ) -> SubdivisionWitness | None:
     """Ground-truth search: enumerate vertex subsets ascending by bitmask
     value and return a witness for the first subset inducing a K4
     subdivision on >= min_total vertices."""
     n = G.n
-    if n > ceiling:
-        raise ValueError(f"oracle ceiling exceeded: {n} > {ceiling}")
+    if n > ORACLE_CEILING:
+        raise ValueError(f"oracle ceiling exceeded: {n} > {ORACLE_CEILING}")
     if n < min_total:
         return None
     if n >= _VECTOR_MIN_N:

@@ -13,10 +13,6 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 128
 
-COMPLETE = "complete"
-ANTICOMPLETE = "anticomplete"
-MIXED = "mixed"
-
 
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask with one bit per vertex index."""
@@ -102,17 +98,6 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
     return Graph(n, tuple(rows), label)
 
 
-def neighbors(G: Graph, v: int) -> int:
-    """Neighbor set of v as a bitmask."""
-    if not 0 <= v < G.n:
-        raise ValueError(f"vertex {v} out of range")
-    return G.adj[v]
-
-
-def degree(G: Graph, v: int) -> int:
-    return neighbors(G, v).bit_count()
-
-
 def edge_count(G: Graph) -> int:
     return sum(r.bit_count() for r in G.adj) // 2
 
@@ -189,24 +174,6 @@ def is_connected(G: Graph) -> bool:
     if G.n == 0:
         return True
     return len(components(G)) == 1
-
-
-def relation_to_set(G: Graph, v: int, members: int | Iterable[int]) -> str:
-    """Classify v against a vertex set S: complete, anticomplete, or mixed.
-
-    Requires v outside S and S nonempty.
-    """
-    m = _as_mask(G, members)
-    if m == 0:
-        raise ValueError("S must be nonempty")
-    if (m >> v) & 1:
-        raise ValueError(f"vertex {v} is inside S")
-    hit = neighbors(G, v) & m
-    if hit == m:
-        return COMPLETE
-    if hit == 0:
-        return ANTICOMPLETE
-    return MIXED
 
 
 @dataclass(frozen=True)

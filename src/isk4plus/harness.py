@@ -17,7 +17,7 @@ from itertools import combinations
 
 from . import detect, structure
 from .formats import iter_graph6_lines, write_graph6
-from .graph import Graph, graph_from_edges, is_connected
+from .graph import Graph, graph_from_edges
 
 ENUMERATION_CEILING = 7
 
@@ -220,23 +220,6 @@ def has_triangle(G: Graph) -> bool:
             row ^= b
             if adj[u] & adj[b.bit_length() - 1]:
                 return True
-    return False
-
-
-def has_k4_subgraph(G: Graph) -> bool:
-    adj = G.adj
-    for u in range(G.n):
-        row = adj[u] >> (u + 1) << (u + 1)
-        while row:
-            b = row & -row
-            row ^= b
-            common = adj[u] & adj[b.bit_length() - 1]
-            t = common
-            while t:
-                c = t & -t
-                t ^= c
-                if adj[c.bit_length() - 1] & t:
-                    return True
     return False
 
 
@@ -443,7 +426,7 @@ def _claims_task(args) -> dict:
         return out
     # all claims hold
     out["status"] = "claims-ok"
-    if is_connected(G) and M.members != G.vertex_mask:
+    if M.members != G.vertex_mask:
         try:
             split = structure.find_structural_cutset(G, M)
         except structure.NotACliqueError as exc:
@@ -511,15 +494,6 @@ def verify_claims_campaign(cfg: CampaignConfig) -> dict:
 # ---------------------------------------------------------------------------
 # cited bound checks
 
-def _bounds_task(args) -> dict:
-    G, filters, budget = args
-    passed, budget_hit = passes_filters(G, filters, budget)
-    if not passed:
-        return {"passed": False, "budget": budget_hit}
-    chi = detect.chromatic_number_exact(G)
-    return {"passed": True, "budget": False, "chi": chi, "graph": G}
-
-
 def check_cited_bounds(cfg: CampaignConfig) -> dict:
     """Assert the known chromatic bounds on every graph passing the filter:
     3 colors when triangles are excluded as well, 24 otherwise."""
@@ -538,20 +512,20 @@ def check_cited_bounds(cfg: CampaignConfig) -> dict:
         "budget_hits": 0,
         "violations": [],
     }
-    for rec in _map_tasks(cfg.jobs, _bounds_task, tasks):
+    for passed, budget_hit, _, chi, G in _map_tasks(
+            cfg.jobs, _survey_task, tasks):
         report["graphs"] += 1
-        if rec["budget"]:
+        if budget_hit:
             report["budget_hits"] += 1
             continue
-        if not rec["passed"]:
+        if not passed:
             continue
         report["checked"] += 1
-        chi = rec["chi"]
         if chi > report["max_chi"]:
             report["max_chi"] = chi
-            report["max_chi_graph6"] = _graph6_text(rec["graph"])
+            report["max_chi_graph6"] = _graph6_text(G)
         if chi > bound:
             report["violations"].append(
-                {"graph6": _graph6_text(rec["graph"]), "chi": chi})
+                {"graph6": _graph6_text(G), "chi": chi})
     return report
 

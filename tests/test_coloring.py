@@ -8,13 +8,14 @@ import pytest
 from isk4plus import detect
 from isk4plus.coloring import (ColorOptions, ColoringBudgetError,
                                color_isk4plus_free, coloring_to_json,
-                               greedy_extend, merge_on_clique, verify_proper)
+                               merge_on_clique, verify_proper)
 from isk4plus.detect import chromatic_number_exact, find_isk4plus
+from isk4plus.formats import parse_graph6
 from isk4plus.graph import Coloring, graph_from_edges, is_connected
 from isk4plus.harness import (complete_graph, cycle_graph, gnp_graph,
                               k4_plus_graph, planted_structured_graph,
                               planted_k44_graph)
-from util_reference_coloring import reference_color
+from util_reference_coloring import greedy_extend, reference_color
 
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
 
@@ -220,6 +221,17 @@ def test_trace_fallback_flagged_on_adversarial():
     assert verify_proper(g, col) is None
     tagged = [n for n in trace.walk() if n.fallback]
     assert tagged and tagged[0].kind == "low-degree"
+
+
+def test_fallback_tag_names_pair_in_input_indices():
+    # the third fallback comes after vertices 16 and 0 are removed; its pair
+    # must be read in the input graph, where it is non-adjacent
+    g = parse_graph6(b"T?~vfbbo_]qly~KtqlA_tISof}ROvg\\y`|On")
+    col, trace = color_isk4plus_free(g)
+    assert verify_proper(g, col) is None
+    tags = [n.fallback for n in trace.walk() if n.fallback]
+    assert tags[2] == "cutset not a clique at (1, 2)"
+    assert not (g.adj[1] >> 2) & 1
 
 
 def test_trace_structure_consistency():

@@ -5,25 +5,19 @@ from itertools import combinations
 
 import pytest
 
-from isk4plus.graph import (ANTICOMPLETE, COMPLETE, MIXED, Coloring, Graph,
-                            coloring_from_map, components, degree, edge_count,
-                            edge_list, graph_from_edges, induced_subgraph,
-                            is_connected, mask_of, neighbors, relation_to_set)
+from isk4plus.graph import (Coloring, Graph, coloring_from_map, components,
+                            edge_count, edge_list, graph_from_edges,
+                            induced_subgraph, is_connected, mask_of)
 from isk4plus.formats import (FormatError, parse_graph6, read_dimacs,
                               read_edgelist, write_graph6)
 from isk4plus.harness import (complete_multipartite, complete_graph,
-                              cycle_graph, enumerate_labeled, gnp_graph,
-                              k4_plus_graph)
-
-from util_brute import brute_relation
-
-K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
+                              cycle_graph, gnp_graph, k4_plus_graph)
 
 
 def test_k4_from_edges():
     g = graph_from_edges(4, combinations(range(4), 2))
     assert g.n == 4 and edge_count(g) == 6
-    assert all(degree(g, v) == 3 for v in range(4))
+    assert all(row.bit_count() == 3 for row in g.adj)
 
 
 def test_k4plus_from_edges():
@@ -31,7 +25,7 @@ def test_k4plus_from_edges():
     g = graph_from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                              (0, 4), (1, 4)])
     assert g == k4_plus_graph()
-    assert degree(g, 4) == 2
+    assert g.adj[4] == mask_of([0, 1])
     assert edge_count(g) == 7
 
 
@@ -76,14 +70,6 @@ def test_constructed_graphs_symmetric_irreflexive():
                 assert ((g.adj[v] >> u) & 1) == ((g.adj[u] >> v) & 1)
 
 
-def test_neighbors_and_degree():
-    g = k4_plus_graph()
-    assert neighbors(g, 4) == mask_of([0, 1])
-    assert degree(g, 4) == 2
-    with pytest.raises(ValueError):
-        neighbors(g, 9)
-
-
 def test_induced_subgraph_identity():
     rng = random.Random(3)
     for _ in range(50):
@@ -111,39 +97,6 @@ def test_components_two_k4s():
     assert not is_connected(g)
     assert is_connected(complete_graph(4))
     assert is_connected(graph_from_edges(0, []))
-
-
-def test_relation_examples():
-    g = graph_from_edges(8, K44_EDGES)
-    assert relation_to_set(g, 0, mask_of(range(4, 8))) == COMPLETE
-    assert relation_to_set(g, 0, mask_of([1, 2, 3])) == ANTICOMPLETE
-    k4p = k4_plus_graph()
-    assert relation_to_set(k4p, 4, mask_of([0, 1, 2, 3])) == MIXED
-
-
-def test_relation_errors():
-    g = complete_graph(3)
-    with pytest.raises(ValueError):
-        relation_to_set(g, 0, mask_of([0, 1]))
-    with pytest.raises(ValueError):
-        relation_to_set(g, 0, 0)
-
-
-def test_relation_exhaustive_small():
-    # mixed iff neither complete nor anticomplete, on every (G, v, S), n <= 5
-    for n in range(2, 6):
-        for g in (enumerate_labeled(n) if n < 5 else _sampled(n)):
-            for v in range(n):
-                others = [u for u in range(n) if u != v]
-                for size in range(1, len(others) + 1):
-                    for S in combinations(others, size):
-                        got = relation_to_set(g, v, mask_of(S))
-                        assert got == brute_relation(g, v, list(S))
-
-
-def _sampled(n):
-    # all 1024 graphs at n=5 is fine; keep the helper for clarity
-    return enumerate_labeled(n)
 
 
 # ---------------------------------------------------------------------------
@@ -266,4 +219,4 @@ def test_coloring_from_map():
 def test_complete_multipartite_builder():
     g = complete_multipartite(2, 2, 2)
     assert g.n == 6 and edge_count(g) == 12
-    assert relation_to_set(g, 0, mask_of([1])) == ANTICOMPLETE
+    assert not g.adj[0] & mask_of([1])

@@ -6,13 +6,13 @@ import pytest
 
 from isk4plus import detect
 from isk4plus.formats import write_graph6
-from isk4plus.graph import edge_count
+from isk4plus.graph import edge_count, graph_from_edges
 from isk4plus.harness import (CampaignConfig, check_cited_bounds,
                               complete_multipartite, cycle_graph,
-                              enumerate_labeled, gnp_graph, has_k4_subgraph,
-                              has_triangle, iter_config_graphs,
-                              passes_filters, petersen_graph,
-                              planted_k44_graph, planted_structured_graph,
+                              enumerate_labeled, gnp_graph, has_triangle,
+                              iter_config_graphs, passes_filters,
+                              petersen_graph, planted_k44_graph,
+                              planted_structured_graph,
                               random_triangle_free_graph, survey_chi_vs_omega,
                               survey_to_csv, verify_claims_campaign)
 
@@ -74,8 +74,8 @@ def test_planted_structured_kinds():
 def test_has_triangle_and_k4():
     assert not has_triangle(cycle_graph(5))
     assert has_triangle(complete_multipartite(1, 1, 1))
-    assert not has_k4_subgraph(complete_multipartite(2, 2, 2))
-    assert has_k4_subgraph(complete_multipartite(1, 1, 1, 1, 2))
+    assert detect.clique_number(complete_multipartite(2, 2, 2)) < 4
+    assert detect.clique_number(complete_multipartite(1, 1, 1, 1, 2)) >= 4
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,18 @@ def test_claims_campaign_random_k44():
     assert report["graphs"] == 60
     assert report["consistency_failures"] == []
     assert report["budget_hits"] == 0
+
+
+def test_claims_campaign_checks_cutset_of_disconnected_graph():
+    # K4,4 on 0..7 plus the path 8-9-10: the claims hold, and the component
+    # outside M is a component of G, cut off by the empty clique
+    k44 = [(u, v) for u in range(4) for v in range(4, 8)]
+    g = graph_from_edges(11, k44 + [(8, 9), (9, 10)])
+    report = verify_claims_campaign(
+        CampaignConfig(source="graph6", lines=[write_graph6(g)]))
+    assert report["claims_ok"] == 1
+    assert report["splits"] == 1
+    assert report["consistency_failures"] == []
 
 
 def test_claims_campaign_deterministic():

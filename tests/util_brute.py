@@ -32,11 +32,3 @@ def brute_chromatic_number(G: Graph) -> int:
                 return k
     raise AssertionError("unreachable")
 
-
-def brute_relation(G: Graph, v: int, members: list[int]) -> str:
-    hits = [u for u in members if (G.adj[v] >> u) & 1]
-    if len(hits) == len(members):
-        return "complete"
-    if not hits:
-        return "anticomplete"
-    return "mixed"

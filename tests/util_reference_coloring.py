@@ -2,16 +2,45 @@
 
 Every recursion step works on its own induced subgraph H plus a tuple vmap
 of H's vertices in the input graph, re-searches for an induced K4,4 at
-every step, and extends the low-degree vertex through greedy_extend.  The
-library's mask recursion must reproduce its colors and trace byte for
-byte; tests compare the two through coloring_to_json.
+every step, and extends the low-degree vertex through greedy_extend, which
+lives here since nothing else calls it.  The library's mask recursion
+must reproduce its colors and trace byte for byte; tests compare the two
+through coloring_to_json.
 """
+
+from typing import Mapping
 
 from isk4plus import detect, structure
 from isk4plus.coloring import (RAMSEY_R4, ColorOptions, TraceNode,
-                               greedy_extend, merge_on_clique, verify_proper)
-from isk4plus.graph import (bit_list, coloring_from_map, components,
-                            induced_subgraph)
+                               merge_on_clique, verify_proper)
+from isk4plus.graph import (Coloring, Graph, bit_list, coloring_from_map,
+                            components, induced_subgraph)
+
+
+def greedy_extend(G: Graph, partial: Mapping[int, int], v: int,
+                  palette: int) -> Coloring:
+    """Extend a proper coloring of G - v by giving v the smallest palette
+    color missing from its neighborhood."""
+    if not 0 <= v < G.n:
+        raise ValueError(f"vertex {v} out of range")
+    used = 0
+    row = G.adj[v]
+    while row:
+        b = row & -row
+        row ^= b
+        u = b.bit_length() - 1
+        if u not in partial:
+            raise ValueError(f"neighbor {u} is uncolored")
+        used |= 1 << partial[u]
+    c = 0
+    while (used >> c) & 1:
+        c += 1
+    if c >= palette:
+        raise ValueError(
+            f"all {palette} palette colors blocked at vertex {v}")
+    full = dict(partial)
+    full[v] = c
+    return coloring_from_map(G.n, full)
 
 
 def reference_color(G, opts=None):
@@ -81,7 +110,8 @@ def _color_rec(H, vmap, base, k, opts):
         except structure.NotACliqueError as exc:
             return _low_degree_step(
                 H, vmap, base, k, opts,
-                fallback=f"cutset not a clique at {exc.pair}")
+                fallback=("cutset not a clique at "
+                          f"{tuple(vmap[v] for v in exc.pair)}"))
         g1, map1 = induced_subgraph(H, H.vertex_mask & ~split.component)
         g2, map2 = induced_subgraph(H, split.component | split.clique)
         c1, n1 = _color_rec(g1, tuple(vmap[i] for i in map1), base, k, opts)
