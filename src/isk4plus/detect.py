@@ -324,7 +324,13 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
     peel to nothing and prove "none" without spending a node.  K4 itself is
     all simplicial, so min_total = 4 searches every vertex.
 
-    The search then enumerates ordered 4-sets of kept branch vertices with
+    Also for min_total > 4, it next caps each twin class of the peeled
+    graph at its two lowest members (see _cap_twins) and searches only the
+    capped graph.  The first witness of the peeled graph lies in the capped
+    one, so the answer, witness included, is the one the uncapped search
+    returns.
+
+    The search enumerates ordered 4-sets of kept branch vertices with
     at least 3 kept neighbors and grows the six connecting paths
     shortest-first with full backtracking, rejecting any chord against
     already placed witness vertices.  Each path draws only on the kept
@@ -342,7 +348,7 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
         return Detection(NONE)
     keep = G.vertex_mask
     if min_total > 4:
-        keep = _peel_simplicial(adj, keep)
+        keep = _cap_twins(adj, _peel_simplicial(adj, keep))
     cand = [v for v in bit_list(keep) if (adj[v] & keep).bit_count() >= 3]
     if len(cand) < 4:
         return Detection(NONE)
@@ -376,6 +382,47 @@ def _peel_simplicial(adj, alive: int) -> int:
             alive ^= b
             work |= nb
     return alive
+
+
+def _cap_twins(adj, alive: int) -> int:
+    """Keep the two lowest members of each twin class of the subgraph
+    induced on alive; returns the kept mask.
+
+    False twins are non-adjacent with equal neighborhoods, true twins
+    adjacent with equal closed neighborhoods.  A witness on >= 5 vertices
+    holds at most two of a class: three false twins would join two branch
+    vertices by three paths or be three branch vertices with three common
+    branch neighbors, and three true twins would make the witness a
+    triangle or K4 (degrees are at most 3, and the three share their other
+    neighbors).  Swapping a witness vertex for an unused twin keeps it
+    induced, so a witness exists in alive iff one exists in the kept mask.
+
+    The first witness of find_isk4plus survives too.  It takes the first
+    branch quad in lexicographic order that has a witness, and for that
+    quad the witness whose paths, pair by pair, are least by (length,
+    vertex sequence); neither order depends on the mask.  If the first
+    witness used a deleted vertex v, one of the two lower kept twins of v
+    would be unused, and swapping it in would give a witness on an earlier
+    quad (v a branch vertex) or with a smaller path (v interior).
+
+    One table serves both kinds: an open neighborhood never equals a
+    closed one, and no vertex has both a false and a true twin.  Every row
+    is taken within alive, not within the shrinking kept mask, so that
+    deleting a vertex does not split the classes seen after it.
+    """
+    seen: dict[int, int] = {}
+    kept = alive
+    t = alive
+    while t:
+        b = t & -t
+        t ^= b
+        row = adj[b.bit_length() - 1] & alive
+        for key in (row, row | b):
+            count = seen.get(key, 0) + 1
+            seen[key] = count
+            if count > 2:
+                kept &= ~b
+    return kept
 
 
 def _search_quad(adj, quad, min_total, spend, keep):

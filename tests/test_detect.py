@@ -16,8 +16,8 @@ from isk4plus.detect import (BUDGET, DEFAULT_NODE_BUDGET, FOUND, NONE,
                              is_k4plus_subdivision, ramsey_extract_k44,
                              verify_subdivision_witness, witness_from_subset)
 from isk4plus.formats import parse_graph6
-from isk4plus.graph import (bit_list, graph_from_edges, induced_subgraph,
-                            mask_of)
+from isk4plus.graph import (bit_list, edge_list, graph_from_edges,
+                            induced_subgraph, mask_of)
 from isk4plus.harness import (complete_graph, complete_multipartite,
                               cycle_graph, gnp_graph, k4_plus_graph,
                               passes_filters, petersen_graph,
@@ -156,12 +156,31 @@ def test_find_budget_outcome():
     assert det.status == BUDGET and det.witness is None
 
 
-@pytest.mark.parametrize("s", [6, 7, 8])
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v])
+                                  for u, v in edge_list(g)]), perm
+
+
+@pytest.mark.parametrize("s", [6, 7, 8, 12, 16, 32])
 def test_find_proves_none_on_large_k_ssss(s):
     # K_{s,s,s,s} is ISK4+-free; proving it needs the reachability prune
-    det = find_isk4plus(complete_multipartite(s, s, s, s),
-                        budget=DEFAULT_NODE_BUDGET)
+    # for s <= 8 and the twin cap beyond, checked on a relabeling that
+    # scatters the parts
+    g = complete_multipartite(s, s, s, s)
+    if s > 8:
+        g, _ = _relabel(g, random.Random(s))
+    det = find_isk4plus(g, budget=DEFAULT_NODE_BUDGET)
     assert det.status == NONE
+
+
+@pytest.mark.parametrize("s", [3, 8, 32])
+def test_k_ssss_costs_70_nodes(s):
+    # the cap leaves K_{2,2,2,2}: its C(8, 4) = 70 quads fail at once
+    g = complete_multipartite(s, s, s, s)
+    assert find_isk4plus(g, budget=70).status == NONE
+    assert find_isk4plus(g, budget=69).status == BUDGET
 
 
 def test_find_matches_oracle_dense_and_multipartite():
@@ -183,8 +202,9 @@ def test_find_matches_oracle_dense_and_multipartite():
 
 
 # first witnesses of the unpruned search: the records fixture, three
-# sparse G(n, p) graphs whose witnesses have long paths, then sparse seeded
-# G(n, p) with n <= 24 that have simplicial vertices (the last three: none)
+# sparse G(n, p) graphs whose witnesses have long paths, sparse seeded
+# G(n, p) with n <= 24 that have simplicial vertices (the last three of
+# those: none), then seeded twin blow-ups whose twin cap deletes vertices
 PINNED_WITNESSES = [
     (b"?", None), (b"@", None), (b"A?", None), (b"A_", None),
     (b"C~", None),
@@ -243,6 +263,26 @@ PINNED_WITNESSES = [
     (b"UP_??KGAAG??DG????G??K?G??A???_G???HC?H?", None),
     (b"U??A??Ac?aC??A_?????_??A??A@@??g?`C??I??", None),
     (b"U?a?S???@@A???OG?o??C?CGC@BOQ???ACA?????", None),
+    (b"I_pGDk@r?", ((0, 1, 4, 5), ((0, 1), (0, 4), (0, 7, 5), (1, 4), (1, 5),
+                                   (4, 5)))),
+    (b"K|y~yZ}i|~\\~", ((0, 1, 2, 5), ((0, 1), (0, 2), (0, 5), (1, 2),
+                                       (1, 7, 5), (2, 5)))),
+    (b"LXuhTZVILZYzjZ", ((0, 2, 4, 5), ((0, 2), (0, 4), (0, 5), (2, 1, 4),
+                                        (2, 5), (4, 5)))),
+    (b"HiU|q~e", ((0, 1, 5, 8), ((0, 1), (0, 5), (0, 8), (1, 3, 5), (1, 8),
+                                 (5, 8)))),
+    (b"IXvUe_JJo", ((0, 1, 4, 6), ((0, 2, 1), (0, 4), (0, 6), (1, 4), (1, 6),
+                                   (4, 8, 6)))),
+    (b"JGWBBSIYo??", ((1, 2, 4, 6), ((1, 2), (1, 4), (1, 6), (2, 4), (2, 6),
+                                     (4, 8, 6)))),
+    (b"LSL@cuIesvrZP?", ((0, 3, 4, 7), ((0, 3), (0, 2, 4), (0, 7), (3, 4),
+                                        (3, 7), (4, 7)))),
+    (b"M~~{Fxe_kq[vXlXl_", ((0, 1, 2, 8), ((0, 1), (0, 2), (0, 6, 8),
+                                           (1, 2), (1, 8), (2, 8)))),
+    (b"KJ`BbHv\\}|p@", ((2, 3, 6, 10), ((2, 3), (2, 6), (2, 7, 5, 10),
+                                       (3, 6), (3, 10), (6, 10)))),
+    (b"K|vODYl?FzYL", ((2, 4, 7, 8), ((2, 1, 4), (2, 7), (2, 8), (4, 7),
+                                      (4, 8), (7, 8)))),
 ]
 
 
@@ -392,6 +432,8 @@ def test_isk4_mode_min_total4():
     assert find_isk4plus_oracle(complete_graph(4)) is None
     # K5 contains induced K4
     assert find_isk4plus(complete_graph(5), min_total=4).found
+    # K6 is one class of six true twins; min_total = 4 must not cap it
+    assert find_isk4plus(complete_graph(6), min_total=4).found
 
 
 def test_witness_verifier_rejects_corrupted():
@@ -404,6 +446,92 @@ def test_witness_verifier_rejects_corrupted():
     swapped = detect.SubdivisionWitness(w.branch, tuple(reversed(w.paths)),
                                         w.total)
     assert not verify_subdivision_witness(g, swapped)
+
+
+# ---------------------------------------------------------------------------
+# twin cap
+
+def _twin_blowup(rng, n):
+    # each vertex of a random base graph becomes a class of 1-4 vertices,
+    # stable (false twins) or a clique (true twins); classes are complete
+    # or anticomplete to each other along the base edges
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 4), n - sum(sizes)))
+    classes = []
+    for s in sizes:
+        start = sum(len(c) for c in classes)
+        classes.append(range(start, start + s))
+    p = rng.choice([0.3, 0.5, 0.7])
+    edges = [(u, v) for a, b in combinations(classes, 2) if rng.random() < p
+             for u in a for v in b]
+    for c in classes:
+        if rng.random() < 0.5:
+            edges += combinations(c, 2)
+    g, _ = _relabel(graph_from_edges(n, edges), rng)
+    return g
+
+
+def test_cap_twins_keeps_two_lowest_per_class():
+    g, perm = _relabel(complete_multipartite(4, 4, 4, 4), random.Random(3))
+    kept = detect._cap_twins(g.adj, g.vertex_mask)
+    assert kept.bit_count() == 8
+    for part in range(4):
+        members = sorted(perm[v] for v in range(4 * part, 4 * part + 4))
+        assert kept & mask_of(members) == mask_of(members[:2])
+    # a C5 whose vertex 0 is blown up into a clique 0, 5, 6, 7 of four
+    # true twins; the other vertices have no twin
+    g = graph_from_edges(8, [(1, 2), (2, 3), (3, 4)]
+                         + [(u, v) for u in (0, 5, 6, 7) for v in (1, 4)]
+                         + list(combinations((0, 5, 6, 7), 2)))
+    g, perm = _relabel(g, random.Random(4))
+    clique = sorted(perm[v] for v in (0, 5, 6, 7))
+    kept = detect._cap_twins(g.adj, g.vertex_mask)
+    assert kept == g.vertex_mask & ~mask_of(clique[2:])
+
+
+def test_twin_cap_matches_oracle_on_blowups():
+    rng = random.Random(83)
+    counts = {FOUND: 0, NONE: 0, "capped": 0}
+    for _ in range(120):
+        g = _twin_blowup(rng, rng.randint(8, 16))
+        det = find_isk4plus(g)
+        assert det.status != BUDGET
+        assert det.found == (find_isk4plus_oracle(g) is not None)
+        if det.found:
+            assert verify_subdivision_witness(g, det.witness)
+        counts[det.status] += 1
+        peeled = detect._peel_simplicial(g.adj, g.vertex_mask)
+        counts["capped"] += detect._cap_twins(g.adj, peeled) != peeled
+    assert min(counts.values()) >= 20
+
+
+def test_twin_cap_found_costs_the_capped_search_only():
+    # a found graph whose cap deletes vertices: the capped search hits after
+    # 11 nodes with the witness the peeled search finds after 26
+    g6 = b"HiU|q~e"
+    g = parse_graph6(g6)
+    peeled = detect._peel_simplicial(g.adj, g.vertex_mask)
+    assert detect._cap_twins(g.adj, peeled) != peeled
+    det = find_isk4plus(g, budget=11)
+    assert det.status == FOUND
+    assert (det.witness.branch, det.witness.paths) == \
+        dict(PINNED_WITNESSES)[g6]
+    assert find_isk4plus(g, budget=10).status == BUDGET
+
+
+def test_twin_cap_finds_first_witness_within_default_budget():
+    # a seeded blow-up on 40 vertices: the capped search finds it in
+    # 147,878 nodes; without the cap the search spends more than the
+    # default budget before it reaches the same first witness
+    g = parse_graph6(
+        b"gH__jiA^RjG@W[YOkMKDTDgD?@?DTryD@?@?OA?BivAG?G?GOOA^OgAKMIXGl?s?G"
+        b"uAQS`^d|a?O??I?O??HtZ`JkW[SqPGP?_??G?G??_GuAQSGTJDlBpaa?{h?wP?_???")
+    det = find_isk4plus(g, budget=DEFAULT_NODE_BUDGET)
+    assert det.status == FOUND
+    assert (det.witness.branch, det.witness.paths) == (
+        (0, 6, 8, 15),
+        ((0, 4, 9, 3, 6), (0, 8), (0, 15), (6, 8), (6, 15), (8, 15)))
 
 
 # ---------------------------------------------------------------------------

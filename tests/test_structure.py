@@ -10,8 +10,8 @@ from isk4plus.detect import (BicliqueWitness, SearchBudgetExceeded,
                              find_biclique_subgraph, find_induced_biclique,
                              find_isk4plus, find_isk4plus_oracle,
                              verify_subdivision_witness)
-from isk4plus.graph import (bit_list, graph_from_edges, induced_subgraph,
-                            is_connected, mask_of)
+from isk4plus.graph import (bit_list, edge_list, graph_from_edges,
+                            induced_subgraph, is_connected, mask_of)
 from isk4plus.harness import (complete_multipartite, cycle_graph,
                               gnp_graph, path_graph, planted_k44_graph,
                               planted_structured_graph)
@@ -352,13 +352,21 @@ def test_any_cutset_ceiling():
         find_any_clique_cutset(gnp_graph(25, 0.4, random.Random(0)))
 
 
+def _with_disjoint_path(g, k):
+    # g plus a path on k new vertices, anticomplete to g
+    return graph_from_edges(g.n + k, edge_list(g) + [
+        (v, v + 1) for v in range(g.n, g.n + k - 1)])
+
+
 def test_structural_cutset_matches_oracle_existence():
     rng = random.Random(71)
-    hits = 0
-    for _ in range(20):
-        g = planted_structured_graph(rng, "clean")
-        if not is_connected(g):
-            continue
+    graphs = [planted_structured_graph(rng, "clean") for _ in range(20)]
+    # seed 71 draws only connected graphs: add an isolated vertex to one
+    # and a disjoint P3 to another
+    graphs += [_with_disjoint_path(planted_structured_graph(rng, "clean"), k)
+               for k in (1, 3)]
+    hits = disconnected = 0
+    for g in graphs:
         seed = find_induced_biclique(g, 4)
         assert seed is not None
         m = grow_maximal_multipartite(g, seed)
@@ -369,7 +377,8 @@ def test_structural_cutset_matches_oracle_existence():
         oracle_split = find_any_clique_cutset(g)
         assert oracle_split is not None
         hits += 1
-    assert hits >= 5
+        disconnected += not is_connected(g)
+    assert hits >= 5 and disconnected >= 1
 
 
 # ---------------------------------------------------------------------------
