@@ -36,17 +36,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _budget(text: str) -> int:
-    """argparse type for --budget: a node count, never negative."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"budget must be an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"budget must be non-negative, got {value}")
-    return value
+def _count(what: str):
+    """argparse type for a count option, such as a node budget: an
+    integer, never negative."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer, got {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be non-negative, got {value}")
+        return value
+    return parse
+
+
+_budget = _count("budget")
 
 
 def _read_text(path: str) -> str:
@@ -124,7 +130,7 @@ def build_parser() -> _Parser:
                         "extraction (clique bound at most 5)")
     p.add_argument("--k", type=int, default=None,
                    help="clique bound (default: computed exactly)")
-    p.add_argument("--base-size", type=int, default=None)
+    p.add_argument("--base-size", type=_count("base size"), default=None)
     p.add_argument("--lines", action="store_true",
                    help="emit 'vertex color' lines instead of JSON")
 

@@ -5,13 +5,16 @@ K4,4 search, the multipartite growth and the cutset it calls, so it uses
 one index space and builds no subgraph.  It colors small sets directly,
 splits disconnected ones, and otherwise looks for an induced K4,4.
 Without one it removes a minimum-degree vertex and extends greedily on
-the way back; having no induced K4,4 is hereditary, so that
-chain never searches again.  With one it grows the complete multipartite
-set M and recurses across the clique cutset that M induces, merging the
-two side colorings on the cutset.  The output is a proper coloring for
-every input graph; on graphs that do contain an induced K4 subdivision on
->= 5 vertices the cutset step can fail, in which case the step is
-recorded in the trace and the minimum-degree branch is taken instead.
+the way back; such a chain runs as one loop over degree buckets.  With
+one it grows the complete multipartite set M and recurses across the
+clique cutset that M induces, merging the two side colorings on the
+cutset.  Each search result is passed down: having no induced K4,4 is
+hereditary, and the first induced K4,4 of a mask stays the first of
+every submask that contains it, so a step searches only when its parent's
+result says nothing about it.  The output is a proper coloring for every
+input graph; on graphs that do contain an induced K4 subdivision on >= 5
+vertices the cutset step can fail, in which case the step is recorded in
+the trace and the minimum-degree branch is taken instead.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .graph import (Coloring, Graph, bit_list, coloring_from_map,
 # known Ramsey numbers R(4, k); used only to size the K_{s,s} search when
 # the biclique-then-extract route is requested
 RAMSEY_R4 = {2: 4, 3: 9, 4: 18, 5: 25}
+
+# the recursion's search result for a mask that holds no induced K4,4
+_NO_K44 = object()
 
 
 class ColoringBudgetError(RuntimeError):
@@ -149,13 +155,16 @@ def color_isk4plus_free(G: Graph, opts: ColorOptions | None = None
     vertices.
     """
     opts = opts or ColorOptions()
+    if opts.base_size is not None and opts.base_size < 0:
+        raise ValueError(
+            f"base_size must be non-negative, got {opts.base_size}")
     k = opts.k if opts.k is not None else detect.clique_number(G)
     if opts.via_ramsey and k not in RAMSEY_R4:
         raise ValueError(
             f"the biclique-then-extract route needs a clique bound in "
             f"{sorted(RAMSEY_R4)}, got {k}")
     base = opts.base_size if opts.base_size is not None else max(k, 1)
-    colors, trace = _color_rec(G, G.vertex_mask, base, k, opts, False)
+    colors, trace = _color_rec(G, G.vertex_mask, base, k, opts, None)
     coloring = coloring_from_map(G.n, colors)
     bad = verify_proper(G, coloring)
     if bad is not None:
@@ -186,106 +195,176 @@ def _find_seed(G: Graph, members: int, k: int, opts: ColorOptions):
         return None
 
 
+def _inherit(known, members: int):
+    """The part of a K4,4 search result that holds on the submask members.
+
+    "None found" is hereditary.  A seed is the first induced K4,4 of a
+    supermask, and it stays the first of every submask that contains it,
+    so it is kept exactly when its sides lie in members.
+    """
+    if isinstance(known, detect.BicliqueWitness) and \
+            (known.side_a | known.side_b) & ~members:
+        return None
+    return known
+
+
+def _stays_connected(adj, members: int, v: int) -> bool:
+    """Whether members is connected, given that members plus v is.
+
+    Every member reaches a neighbor of v without passing through v, so
+    members is connected exactly when v's lowest neighbor reaches all the
+    others; the search stops as soon as it has, at once when v has at
+    most one neighbor left.
+    """
+    nbrs = adj[v] & members
+    comp = nbrs & -nbrs
+    frontier = comp
+    while nbrs & ~comp:
+        if not frontier:
+            return False
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            reach |= adj[b.bit_length() - 1]
+        frontier = reach & members & ~comp
+        comp |= frontier
+    return True
+
+
 def _color_rec(G: Graph, members: int, base: int, k: int,
-               opts: ColorOptions, free: bool
+               opts: ColorOptions, known
                ) -> tuple[dict[int, int], TraceNode]:
     """Color the subgraph of G induced on the vertex mask members.
 
     Every search runs on (G, members), so colors, trace vertices and the
-    seed, M and cutset all use G's own indices.  free says that members
-    is known to induce no K4,4, so the search is skipped.
+    seed, M and cutset all use G's own indices.  known is what is known of
+    the K4,4 search on members: None when nothing is, so the step
+    searches; _NO_K44 when members holds no induced K4,4; or the first
+    induced K4,4 of members, found on a supermask (see _inherit).
+
+    A chain of low-degree steps runs as one loop.  The degrees within
+    members live in buckets, one vertex mask per degree, so each step
+    removes the lowest member v of the lowest non-empty bucket and moves
+    v's remaining neighbors down one bucket.  Only when _stays_connected
+    fails does components_within run again.  The removed vertices are
+    colored on the unwind, in reverse removal order, each with the
+    smallest color its neighbors leave free.
     """
-    n = members.bit_count()
-    if n <= base:
-        colors = {v: i for i, v in enumerate(iter_bits(members))}
-        return colors, TraceNode("base", palette=n)
-
-    comps = components_within(G.adj, members)
-    if len(comps) > 1:
-        merged: dict[int, int] = {}
-        node = TraceNode("component-split")
-        for comp in comps:
-            child_colors, child_node = _color_rec(G, comp, base, k, opts,
-                                                  free)
-            node.children.append(child_node)
-            merged = merge_on_clique(merged, child_colors, ())
-        node.palette = _palette_of(merged)
-        return merged, node
-
-    if free:
-        return _low_degree_step(G, members, base, k, opts, True, None)
-
-    try:
-        seed = _find_seed(G, members, k, opts)
-    except detect.SearchBudgetExceeded as exc:
-        raise ColoringBudgetError(str(exc)) from exc
-
-    if seed is None:
-        # no induced K4,4 is hereditary, so every graph that the low-degree
-        # chain and its component splits reach inherits the verdict; a
-        # failed Ramsey extraction proves nothing and is not passed on
-        return _low_degree_step(G, members, base, k, opts,
-                                not opts.via_ramsey, None)
-
-    M = structure.grow_maximal_multipartite(G, seed, members=members)
-    if M.members == members:
-        colors = {}
-        for idx, part in enumerate(M.parts):
-            for v in iter_bits(part):
-                colors[v] = idx
-        return colors, TraceNode("multipartite-direct",
-                                 palette=len(M.parts),
-                                 part_count=len(M.parts))
-    try:
-        split = structure.find_structural_cutset(G, M, members=members)
-    except structure.NotACliqueError as exc:
-        return _low_degree_step(
-            G, members, base, k, opts, False,
-            f"cutset not a clique at {exc.pair}")
-    # M leaves an outside vertex here, so a split exists
-    clique, comp = split.clique, split.component
-    c1, n1 = _color_rec(G, members & ~comp, base, k, opts, False)
-    c2, n2 = _color_rec(G, comp | clique, base, k, opts, False)
-    merged = merge_on_clique(c1, c2, clique)
-    node = TraceNode(
-        "structural-split",
-        palette=_palette_of(merged),
-        clique=tuple(iter_bits(clique)),
-        component=tuple(iter_bits(comp)),
-        children=[n1, n2])
-    return merged, node
-
-
-def _low_degree_step(G: Graph, members: int, base: int, k: int,
-                     opts: ColorOptions, free: bool, fallback: str | None
-                     ) -> tuple[dict[int, int], TraceNode]:
-    """Remove the member with the fewest neighbors in members (lowest
-    index on ties), color the rest, and give it the smallest color its
-    neighbors leave free."""
     adj = G.adj
-    v = -1
-    best = G.n
-    rest = members
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        u = b.bit_length() - 1
-        d = (adj[u] & members).bit_count()
-        if d < best:
-            best = d
-            v = u
-    colors, child_node = _color_rec(G, members & ~(1 << v), base, k, opts,
-                                    free)
-    used = 0
-    row = adj[v] & members
-    while row:
-        b = row & -row
-        row ^= b
-        used |= 1 << colors[b.bit_length() - 1]
-    c = (~used & (used + 1)).bit_length() - 1
-    colors[v] = c
-    node = TraceNode("low-degree", palette=max(child_node.palette, c + 1),
-                     vertex=v, fallback=fallback, children=[child_node])
+    chain: list[tuple[int, str | None]] = []
+    buckets: list[int] = []  # buckets[d]: the members with d neighbors
+    deg: list[int] = []
+    low = 0  # no bucket below low is non-empty
+    connected = False
+    while True:
+        n = members.bit_count()
+        if n <= base:
+            colors = {v: i for i, v in enumerate(iter_bits(members))}
+            node = TraceNode("base", palette=n)
+            break
+
+        if not connected:
+            comps = components_within(adj, members)
+            if len(comps) > 1:
+                colors = {}
+                node = TraceNode("component-split")
+                for comp in comps:
+                    child_colors, child_node = _color_rec(
+                        G, comp, base, k, opts, _inherit(known, comp))
+                    node.children.append(child_node)
+                    colors = merge_on_clique(colors, child_colors, ())
+                node.palette = _palette_of(colors)
+                break
+
+        if known is None:
+            try:
+                seed = _find_seed(G, members, k, opts)
+            except detect.SearchBudgetExceeded as exc:
+                raise ColoringBudgetError(str(exc)) from exc
+            # a failed Ramsey extraction proves nothing about submasks,
+            # so that route never passes a result on
+            if not opts.via_ramsey:
+                known = _NO_K44 if seed is None else seed
+        else:
+            seed = None if known is _NO_K44 else known
+
+        fallback = None
+        if seed is not None:
+            M = structure.grow_maximal_multipartite(G, seed, members=members)
+            if M.members == members:
+                colors = {}
+                for idx, part in enumerate(M.parts):
+                    for v in iter_bits(part):
+                        colors[v] = idx
+                node = TraceNode("multipartite-direct", palette=len(M.parts),
+                                 part_count=len(M.parts))
+                break
+            try:
+                split = structure.find_structural_cutset(G, M,
+                                                         members=members)
+            except structure.NotACliqueError as exc:
+                fallback = f"cutset not a clique at {exc.pair}"
+            else:
+                # M leaves an outside vertex here, so a split exists
+                clique, comp = split.clique, split.component
+                side1, side2 = members & ~comp, comp | clique
+                c1, n1 = _color_rec(G, side1, base, k, opts,
+                                    _inherit(known, side1))
+                c2, n2 = _color_rec(G, side2, base, k, opts,
+                                    _inherit(known, side2))
+                colors = merge_on_clique(c1, c2, clique)
+                node = TraceNode(
+                    "structural-split",
+                    palette=_palette_of(colors),
+                    clique=tuple(iter_bits(clique)),
+                    component=tuple(iter_bits(comp)),
+                    children=[n1, n2])
+                break
+
+        # remove the member with the fewest neighbors in members, lowest
+        # index on ties
+        if not buckets:
+            buckets = [0] * n
+            deg = [0] * G.n
+            for u in iter_bits(members):
+                d = (adj[u] & members).bit_count()
+                deg[u] = d
+                buckets[d] |= 1 << u
+        d = low
+        while not buckets[d]:
+            d += 1
+        vbit = buckets[d] & -buckets[d]
+        buckets[d] ^= vbit
+        v = vbit.bit_length() - 1
+        members ^= vbit
+        row = adj[v] & members
+        while row:
+            b = row & -row
+            row ^= b
+            u = b.bit_length() - 1
+            du = deg[u]
+            buckets[du] ^= b
+            buckets[du - 1] |= b
+            deg[u] = du - 1
+        low = max(d - 1, 0)
+        connected = _stays_connected(adj, members, v)
+        known = _inherit(known, members)
+        chain.append((v, fallback))
+
+    colored = members
+    for v, fallback in reversed(chain):
+        used = 0
+        row = adj[v] & colored
+        while row:
+            b = row & -row
+            row ^= b
+            used |= 1 << colors[b.bit_length() - 1]
+        c = (~used & (used + 1)).bit_length() - 1
+        colors[v] = c
+        node = TraceNode("low-degree", palette=max(node.palette, c + 1),
+                         vertex=v, fallback=fallback, children=[node])
+        colored |= 1 << v
     return colors, node
 
 

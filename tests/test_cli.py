@@ -160,6 +160,18 @@ def test_bad_budget_exit_64(capsys, argv):
     assert "argument --budget" in err and "seed=" not in err
 
 
+@pytest.mark.parametrize("value,message", [
+    ("-1", "base size must be non-negative, got -1"),
+    ("two", "base size must be an integer, got 'two'"),
+], ids=["negative", "non-integer"])
+def test_bad_base_size_exit_64(capsys, value, message):
+    # rejected while parsing, before the recursion could reach an empty mask
+    code, out, err = run(capsys, "color", "missing.g6", "--base-size", value)
+    assert code == 64
+    assert out == ""
+    assert f"argument --base-size: {message}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("detect", "{missing}"),
     ("color", "{missing}"),

@@ -7,14 +7,15 @@ import pytest
 
 from isk4plus import detect
 from isk4plus.coloring import (ColorOptions, ColoringBudgetError,
-                               color_isk4plus_free, coloring_to_json,
-                               merge_on_clique, verify_proper)
+                               _stays_connected, color_isk4plus_free,
+                               coloring_to_json, merge_on_clique,
+                               verify_proper)
 from isk4plus.detect import chromatic_number_exact, find_isk4plus
 from isk4plus.formats import parse_graph6
 from isk4plus.graph import Coloring, graph_from_edges, is_connected
 from isk4plus.harness import (complete_graph, cycle_graph, gnp_graph,
-                              k4_plus_graph, planted_structured_graph,
-                              planted_k44_graph)
+                              k4_plus_graph, path_graph,
+                              planted_structured_graph, planted_k44_graph)
 from util_reference_coloring import greedy_extend, reference_color
 
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
@@ -310,6 +311,12 @@ def test_color_base_size_override():
     assert col.palette_size == 6
 
 
+def test_color_negative_base_size_raises():
+    # a negative base would let the chain reach an empty mask
+    with pytest.raises(ValueError, match="base_size must be non-negative"):
+        color_isk4plus_free(cycle_graph(6), ColorOptions(base_size=-1))
+
+
 def test_merged_restriction_matches_children():
     g = graph_from_edges(9, K44_EDGES + [(8, 0)])
     col, trace = color_isk4plus_free(g)
@@ -332,14 +339,16 @@ def test_coloring_json_output():
 # ---------------------------------------------------------------------------
 # the mask recursion against the per-step Graph rebuild
 
+def _edges(g, offset=0):
+    return [(u + offset, v + offset) for u in range(g.n)
+            for v in range(u + 1, g.n) if (g.adj[u] >> v) & 1]
+
+
 def _disjoint_union(*graphs):
     edges = []
     offset = 0
     for g in graphs:
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if (g.adj[u] >> v) & 1:
-                    edges.append((u + offset, v + offset))
+        edges += _edges(g, offset)
         offset += g.n
     return graph_from_edges(offset, edges)
 
@@ -393,34 +402,146 @@ def test_color_matches_reference_recursion():
     assert fallbacks and ramsey_runs >= 10
 
 
-def test_color_budget_only_ever_finishes_more():
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in _edges(g)])
+
+
+def _cycle_with_pendant_paths(rng):
+    c = rng.randint(3, 12)
+    edges = [(i, (i + 1) % c) for i in range(c)]
+    n = c
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(c)
+        for _ in range(rng.randint(1, 5)):
+            edges.append((at, n))
+            at = n
+            n += 1
+    return graph_from_edges(n, edges)
+
+
+def _blobs_joined_by_path(rng):
+    a = gnp_graph(rng.randint(5, 12), 0.7, rng)
+    b = gnp_graph(rng.randint(5, 12), 0.7, rng)
+    inner = rng.randint(1, 5)
+    path = [rng.randrange(a.n)] + list(range(a.n + b.n, a.n + b.n + inner)) \
+        + [a.n + rng.randrange(b.n)]
+    edges = _edges(a) + _edges(b, a.n) + list(zip(path, path[1:]))
+    return graph_from_edges(a.n + b.n + inner, edges)
+
+
+def _mid_chain_split_inputs():
+    rng = random.Random(139)
+    graphs = [graph_from_edges(n, [(rng.randrange(v), v)
+                                   for v in range(1, n)])
+              for n in (2, 5, 12, 30, 60)]
+    graphs += [_cycle_with_pendant_paths(rng) for _ in range(8)]
+    graphs += [_blobs_joined_by_path(rng) for _ in range(8)]
+    graphs += [gnp_graph(n, p, rng) for n in (24, 48, 64, 96)
+               for p in (0.03, 0.045, 0.06)]
+    return [_relabel(g, rng) for g in graphs]
+
+
+def test_color_matches_reference_on_mid_chain_splits():
+    # removing a minimum-degree vertex disconnects the mask here, so the
+    # chain's local connectivity check must hand over to a component split
+    splits_in_chain = 0
+    for g in _mid_chain_split_inputs():
+        for opts in (ColorOptions(), ColorOptions(base_size=2)):
+            col, trace = color_isk4plus_free(g, opts)
+            assert coloring_to_json(col, trace) == \
+                coloring_to_json(*reference_color(g, opts))
+            splits_in_chain += sum(
+                1 for node in trace.walk() if node.kind == "low-degree"
+                and node.children[0].kind == "component-split")
+    assert splits_in_chain >= 10
+
+
+def test_stays_connected_after_removal():
+    def stays(g, v):
+        return _stays_connected(g.adj, g.vertex_mask & ~(1 << v), v)
+
+    path = path_graph(5)
+    assert [stays(path, v) for v in range(5)] == \
+        [True, False, False, False, True]
+    cycle = cycle_graph(6)
+    assert all(stays(cycle, v) for v in range(6))
+    star = graph_from_edges(5, [(0, leaf) for leaf in range(1, 5)])
+    assert [stays(star, v) for v in range(5)] == \
+        [False, True, True, True, True]
+
+
+# planted K4,4 graphs on n = 64 whose colorings take more than 40 fallback
+# steps; the chain reuses the top-level seed until a step removes one of
+# its vertices
+PLANTED_CHAINS = ((0.05, 0, [64]), (0.08, 1, [64, 9]), (0.08, 5, [64, 18]))
+
+
+def _count_searches(monkeypatch):
+    """Record the mask size of every find_induced_biclique call."""
+    calls = []
+    search = detect.find_induced_biclique
+
+    def counted(*args, **kwargs):
+        # the reference searches its own rebuilt graph, with no mask
+        members = kwargs.get("members")
+        calls.append(args[0].n if members is None else members.bit_count())
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "find_induced_biclique", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,seed,searched", PLANTED_CHAINS)
+def test_planted_k44_chain_reuses_the_seed(monkeypatch, p, seed, searched):
+    g = planted_k44_graph(64, p, random.Random(seed))
+    calls = _count_searches(monkeypatch)
+    col, trace = color_isk4plus_free(g)
+    assert verify_proper(g, col) is None
+    assert sum(1 for node in trace.walk() if node.fallback) > 40
+    # the mask sizes searched, in order, are deterministic
+    assert calls == searched and len(calls) <= 3
+
+
+def test_color_budget_only_ever_finishes_more(monkeypatch):
+    # A skipped search reuses the result of a search on a supermask, which
+    # visited every node the skipped one would.  So skipping can only let
+    # a coloring finish, and in fact it never changes whether one does:
+    # the recursion and the reference, which searches at every step,
+    # finish on exactly the same (graph, budget) pairs.
     rng = random.Random(137)
     graphs = [planted_k44_graph(rng.randint(12, 24), 0.4, rng)
               for _ in range(6)]
     graphs += [gnp_graph(30, 0.3, rng) for _ in range(4)]
+    graphs += [planted_k44_graph(64, p, random.Random(seed))
+               for p, seed, _ in PLANTED_CHAINS]
+    calls = _count_searches(monkeypatch)
+    finished = skipped = 0
     for g in graphs:
         for budget in (20, 200, 2000):
             opts = ColorOptions(detector_budget=budget)
+            calls.clear()
             try:
                 expected = coloring_to_json(*reference_color(g, opts))
             except detect.SearchBudgetExceeded:
+                with pytest.raises(ColoringBudgetError):
+                    color_isk4plus_free(g, opts)
                 continue
+            reference_calls = len(calls)
+            calls.clear()
             assert coloring_to_json(*color_isk4plus_free(g, opts)) == \
                 expected
+            finished += 1
+            skipped += reference_calls - len(calls)
+    assert finished >= 10 and skipped >= 100
 
 
 def test_k44_free_chain_searches_once(monkeypatch):
     g = gnp_graph(96, 0.07, random.Random(1))
     assert is_connected(g)
     assert detect.find_induced_biclique(g, 4) is None
-    calls = []
-    search = detect.find_induced_biclique
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["members"].bit_count())
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(detect, "find_induced_biclique", counted)
+    calls = _count_searches(monkeypatch)
     col, trace = color_isk4plus_free(g)
     assert verify_proper(g, col) is None
     assert calls == [96]
