@@ -3,8 +3,10 @@
 Subcommands: detect, color, verify-claims, survey, check-bounds.  Machine
 readable output (JSON lines, one JSON document, or CSV) goes to stdout;
 diagnostics go to stderr.  Exit codes: 0 success, 2 assertion failure with
-a witness emitted, 3 budget exhaustion, 64 usage error, 65 malformed
-input, 70 internal error.
+a witness emitted, 3 budget exhaustion, 64 usage error (a bad argument, a
+UsageError, or an input or output path that cannot be opened), 65
+malformed input, 70 internal error (any other exception, a ValueError
+included).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from . import coloring, detect, harness
 from .formats import (FormatError, iter_graph6_lines, read_dimacs,
                       read_edgelist)
-from .graph import Graph
+from .graph import Graph, UsageError
 
 EX_OK = 0
 EX_FAILURE = 2
@@ -162,7 +164,7 @@ def _campaign_config(args) -> harness.CampaignConfig:
     path = args.input
     if args.source == "graph6":
         if path is None:
-            raise ValueError("--input is required with --source graph6")
+            raise UsageError("--input is required with --source graph6")
         if path == "-":
             lines = sys.stdin.read().splitlines()
             path = None
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except (ValueError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         # an OSError that names a file comes from an input or output path
         # argument that cannot be opened
         if not isinstance(exc, OSError) or exc.filename is not None:
@@ -282,7 +284,7 @@ def main(argv=None) -> int:
             return EX_USAGE
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EX_SOFTWARE
-    except Exception as exc:  # internal assertion
+    except Exception as exc:  # internal fault
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EX_SOFTWARE
 

@@ -14,7 +14,9 @@ every submask that contains it, so a step searches only when its parent's
 result says nothing about it.  The output is a proper coloring for every
 input graph; on graphs that do contain an induced K4 subdivision on >= 5
 vertices the cutset step can fail, in which case the step is recorded in
-the trace and the minimum-degree branch is taken instead.
+the trace and the minimum-degree branch is taken instead.  The next such
+fallback step keeps that step's M, and its failing pair, whenever removing
+one vertex provably leaves them as they were.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import detect, structure
-from .graph import (Coloring, Graph, bit_list, coloring_from_map,
+from .graph import (Coloring, Graph, UsageError, coloring_from_map,
                     components_within, iter_bits)
 
 # known Ramsey numbers R(4, k); used only to size the K_{s,s} search when
@@ -88,19 +90,18 @@ class ColorOptions:
 
 
 def merge_on_clique(c1: Mapping[int, int], c2: Mapping[int, int],
-                    clique) -> dict[int, int]:
-    """Combine colorings of two graph pieces that overlap in a clique.
+                    clique: int) -> dict[int, int]:
+    """Combine colorings of two graph pieces that overlap in a clique,
+    given as a vertex mask.
 
     Relabels c2's colors by the permutation that makes it agree with c1 on
     the clique (both restrictions must be injective), extending the
     permutation to the remaining colors smallest-first.  With an empty
-    clique this is plain concatenation.
+    clique (0) this is plain concatenation.
     """
-    kverts = sorted(clique) if not isinstance(clique, int) \
-        else bit_list(clique)
     pi: dict[int, int] = {}
     seen1 = set()
-    for x in kverts:
+    for x in iter_bits(clique):
         a, b = c1[x], c2[x]
         if a in seen1 or (b in pi and pi[b] != a):
             raise ValueError("colorings are not injective on the clique")
@@ -121,18 +122,11 @@ def merge_on_clique(c1: Mapping[int, int], c2: Mapping[int, int],
     return merged
 
 
-def verify_proper(G: Graph, coloring) -> tuple[int, int] | None:
+def verify_proper(G: Graph, coloring: Coloring) -> tuple[int, int] | None:
     """None if no edge is monochromatic, else the smallest violating edge."""
-    if isinstance(coloring, Coloring):
-        colors = coloring.colors
-        if len(colors) != G.n:
-            raise ValueError("coloring size does not match the graph")
-    else:
-        colors = []
-        for v in range(G.n):
-            if v not in coloring:
-                raise ValueError(f"vertex {v} is uncolored")
-            colors.append(coloring[v])
+    colors = coloring.colors
+    if len(colors) != G.n:
+        raise ValueError("coloring size does not match the graph")
     for u in range(G.n):
         row = G.adj[u] >> (u + 1) << (u + 1)
         cu = colors[u]
@@ -156,11 +150,11 @@ def color_isk4plus_free(G: Graph, opts: ColorOptions | None = None
     """
     opts = opts or ColorOptions()
     if opts.base_size is not None and opts.base_size < 0:
-        raise ValueError(
+        raise UsageError(
             f"base_size must be non-negative, got {opts.base_size}")
     k = opts.k if opts.k is not None else detect.clique_number(G)
     if opts.via_ramsey and k not in RAMSEY_R4:
-        raise ValueError(
+        raise UsageError(
             f"the biclique-then-extract route needs a clique bound in "
             f"{sorted(RAMSEY_R4)}, got {k}")
     base = opts.base_size if opts.base_size is not None else max(k, 1)
@@ -232,6 +226,28 @@ def _stays_connected(adj, members: int, v: int) -> bool:
     return True
 
 
+def _kept_cut(adj, cut: tuple[tuple[int, int], int], v: int):
+    """The failing cutset (pair, C) after the outside vertex v leaves the
+    mask, or None when it must be recomputed.
+
+    When v is not in C, C is still the first outside component and its
+    neighborhood is unchanged.  When v is in C but not its lowest vertex
+    and C - v is connected, C - v is the new first component; its
+    neighborhood is a subset of the old one, so a pair that still touches
+    C - v is still its first non-adjacent pair.
+    """
+    pair, comp = cut
+    vbit = 1 << v
+    if not comp & vbit:
+        return cut
+    rest = comp ^ vbit
+    x, y = pair
+    if comp & -comp == vbit or not adj[x] & rest or not adj[y] & rest \
+            or not _stays_connected(adj, rest, v):
+        return None
+    return pair, rest
+
+
 def _color_rec(G: Graph, members: int, base: int, k: int,
                opts: ColorOptions, known
                ) -> tuple[dict[int, int], TraceNode]:
@@ -250,6 +266,13 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
     fails does components_within run again.  The removed vertices are
     colored on the unwind, in reverse removal order, each with the
     smallest color its neighbors leave free.
+
+    A fallback step keeps what the fallback step before it computed.  M
+    is kept when the seed sides are equal by value, so also on the
+    --via-ramsey route, which searches at every step, and v was outside
+    M: the ascending scan of grow_maximal_multipartite never added v, so
+    it makes the same additions without it.  With M kept, the failing
+    pair is kept as _kept_cut says.  Anything else is recomputed.
     """
     adj = G.adj
     chain: list[tuple[int, str | None]] = []
@@ -257,6 +280,9 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
     deg: list[int] = []
     low = 0  # no bucket below low is non-empty
     connected = False
+    # what the last fallback step computed: M, with the seed sides it grew
+    # from and its vertex mask inside, and the failing cutset (pair, C)
+    M = cut = None
     while True:
         n = members.bit_count()
         if n <= base:
@@ -273,7 +299,7 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
                     child_colors, child_node = _color_rec(
                         G, comp, base, k, opts, _inherit(known, comp))
                     node.children.append(child_node)
-                    colors = merge_on_clique(colors, child_colors, ())
+                    colors = merge_on_clique(colors, child_colors, 0)
                 node.palette = _palette_of(colors)
                 break
 
@@ -290,9 +316,20 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
             seed = None if known is _NO_K44 else known
 
         fallback = None
-        if seed is not None:
-            M = structure.grow_maximal_multipartite(G, seed, members=members)
-            if M.members == members:
+        if seed is None:
+            M = cut = None
+        else:
+            # M is set only after a fallback step, which removed v
+            if M is None or sides != (seed.side_a, seed.side_b) or \
+                    (inside >> v) & 1:
+                M = structure.grow_maximal_multipartite(G, seed,
+                                                        members=members)
+                inside = M.members
+                sides = (seed.side_a, seed.side_b)
+                cut = None
+            else:
+                cut = _kept_cut(adj, cut, v)
+            if inside == members:
                 colors = {}
                 for idx, part in enumerate(M.parts):
                     for v in iter_bits(part):
@@ -300,11 +337,14 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
                 node = TraceNode("multipartite-direct", palette=len(M.parts),
                                  part_count=len(M.parts))
                 break
-            try:
-                split = structure.find_structural_cutset(G, M,
-                                                         members=members)
-            except structure.NotACliqueError as exc:
-                fallback = f"cutset not a clique at {exc.pair}"
+            if cut is None:
+                try:
+                    split = structure.find_structural_cutset(
+                        G, M, members=members)
+                except structure.NotACliqueError as exc:
+                    cut = exc.pair, exc.component
+            if cut is not None:
+                fallback = f"cutset not a clique at {cut[0]}"
             else:
                 # M leaves an outside vertex here, so a split exists
                 clique, comp = split.clique, split.component

@@ -14,6 +14,14 @@ from typing import Iterable, Iterator
 MAX_VERTICES = 128
 
 
+class UsageError(ValueError):
+    """An argument outside what an operation accepts.
+
+    The CLI reports it as a usage error; any other ValueError raised
+    below the CLI is an internal fault.
+    """
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask with one bit per vertex index."""
     m = 0

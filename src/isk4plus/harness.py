@@ -17,7 +17,7 @@ from itertools import combinations
 
 from . import detect, structure
 from .formats import iter_graph6_lines, write_graph6
-from .graph import Graph, graph_from_edges
+from .graph import MAX_VERTICES, Graph, UsageError, graph_from_edges
 
 ENUMERATION_CEILING = 7
 
@@ -263,11 +263,15 @@ class CampaignConfig:
 
     def validate(self) -> None:
         if self.source == "enumerate" and self.max_n > ENUMERATION_CEILING:
-            raise ValueError(
+            raise UsageError(
                 f"enumeration source capped at n <= {ENUMERATION_CEILING}")
+        if self.source in ("gnp", "triangle-free", "k44-random") and \
+                not 0 <= self.min_n <= self.max_n <= MAX_VERTICES:
+            raise UsageError(
+                f"random sources need 0 <= min_n <= max_n <= {MAX_VERTICES}")
         for f in self.filters:
             if f not in FILTER_NAMES:
-                raise ValueError(f"unknown filter {f!r}")
+                raise UsageError(f"unknown filter {f!r}")
 
 
 def iter_config_graphs(cfg: CampaignConfig):

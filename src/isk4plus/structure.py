@@ -18,12 +18,18 @@ from .graph import Graph, bit_list, components_within, mask_of
 
 
 class NotACliqueError(RuntimeError):
-    """A component neighborhood expected to be a clique is not one."""
+    """A component neighborhood expected to be a clique is not one.
 
-    def __init__(self, pair: tuple[int, int], neighborhood: int):
+    pair is the first non-adjacent pair of the neighborhood, in ascending
+    order; component is the component whose neighborhood it is.
+    """
+
+    def __init__(self, pair: tuple[int, int], neighborhood: int,
+                 component: int):
         super().__init__(f"vertices {pair} in the cutset are non-adjacent")
         self.pair = pair
         self.neighborhood = neighborhood
+        self.component = component
 
 
 @dataclass(frozen=True)
@@ -430,15 +436,28 @@ def find_structural_cutset(G: Graph, w: MultipartiteWitness, *,
     one of its components, so K is empty.  Raises NotACliqueError when K
     has a non-adjacent pair, which means the structural claims fail for
     this graph.
+
+    C is the component of the lowest outside vertex, so one search from
+    that vertex builds C and its neighborhood, and no other component is
+    listed.
     """
     members = detect._members_of(G, members)
     outside = members & ~w.members
     if outside == 0:
         return None
-    comp = components_within(G.adj, outside)[0]
-    clique = _component_neighborhood(G.adj, comp) & members
+    adj = G.adj
+    comp = frontier = outside & -outside
+    reach = 0
+    while frontier:
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            reach |= adj[b.bit_length() - 1]
+        frontier = reach & outside & ~comp
+        comp |= frontier
+    clique = reach & members & ~comp
     for x, y in combinations(bit_list(clique), 2):
-        if not (G.adj[x] >> y) & 1:
-            raise NotACliqueError((x, y), clique)
+        if not (adj[x] >> y) & 1:
+            raise NotACliqueError((x, y), clique, comp)
     return CutsetSplit(clique, comp)
 

@@ -1,13 +1,17 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 
+from isk4plus import coloring, detect, structure
 from isk4plus.cli import main
 from isk4plus.formats import write_graph6
 from isk4plus.harness import (complete_graph, k4_plus_graph,
                               planted_k44_graph)
+from test_coloring import PLANTED_CHAINS
 
 import random
 
@@ -267,3 +271,96 @@ def test_graph6_source_requires_input(capsys):
     code, _, err = run(capsys, "survey", "--source", "graph6")
     assert code == 64
     assert "--input" in err
+
+
+# SHA-256 digests of `isk4plus color` JSON output, recorded before fallback
+# steps began to keep M and the failing cutset.  Every change to the
+# coloring promises byte-identical output, and these pin it.  On these
+# graphs the Ramsey route with k = 2 takes the same steps as the direct
+# search with base size 2, so its digests repeat those of --base-size 2.
+GOLDEN_COLOR = [
+    ("records", (),
+     "418f0bf7710a7953a93b47e43e87fc8e68b004d1595edb62810d89626a686516"),
+    ("records", ("--base-size", "2"),
+     "09464e6a4b7ce28e8342aabe0a04f1f905dd25c644f79000e420e19e1c206b95"),
+    (0, (),
+     "94e42fd23525be163a98fbe23169b60aff9f732554ccf3ba1b449e40d493927b"),
+    (0, ("--base-size", "2"),
+     "e4b16a898855984def8f422a281c72514fb74fea700b98660267366fb0ebd66d"),
+    (0, ("--via-ramsey", "--k", "2"),
+     "e4b16a898855984def8f422a281c72514fb74fea700b98660267366fb0ebd66d"),
+    (1, (),
+     "a5600ec4592f1aced96f15abc7973625d4fa79f5b6832c58071da10858a6c81c"),
+    (1, ("--base-size", "2"),
+     "03d72315e368ead26a6e5271ae0d6b4d8ade0ca1b09bce025b8e9672fc072ea3"),
+    (1, ("--via-ramsey", "--k", "2"),
+     "03d72315e368ead26a6e5271ae0d6b4d8ade0ca1b09bce025b8e9672fc072ea3"),
+    (2, (),
+     "83dd662211b87a46912f90592118ad97a5f6cfe6e0393638472f34bd2f9764e1"),
+    (2, ("--base-size", "2"),
+     "567a7417bbcb2b21e24e98ecefb7939f399d97686b64b63dd225bae4a441ba9a"),
+    (2, ("--via-ramsey", "--k", "2"),
+     "567a7417bbcb2b21e24e98ecefb7939f399d97686b64b63dd225bae4a441ba9a"),
+]
+
+
+@pytest.mark.parametrize(
+    "source,options,digest", GOLDEN_COLOR,
+    ids=[f"{source}{''.join(options)}" for source, options, _ in GOLDEN_COLOR])
+def test_color_output_digest(capsys, tmp_path, source, options, digest):
+    # source names the records file or indexes PLANTED_CHAINS
+    if source == "records":
+        path = pathlib.Path(__file__).parent / "data" / "records.g6"
+    else:
+        p, seed, _ = PLANTED_CHAINS[source]
+        path = tmp_path / "planted.g6"
+        path.write_bytes(write_graph6(
+            planted_k44_graph(64, p, random.Random(seed))) + b"\n")
+    code, out, _ = run(capsys, "color", str(path), *options)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("argv,patch,code", [
+    (("detect", "{k4p}", "--bogus-flag"), None, 64),
+    (("survey", "--source", "graph6"), None, 64),
+    (("survey", "--max-n", "9"), None, 64),
+    (("survey", "--source", "gnp", "--max-n", "200"), None, 64),
+    (("color", "{k4p}", "--via-ramsey", "--k", "7"), None, 64),
+    (("color", "{missing}"), None, 64),
+    (("detect", "{bad}"), None, 65),
+    (("detect", "{k4p}", "--budget", "0"), None, 3),
+    (("verify-claims", "--source", "planted", "--count", "20", "--seed", "3"),
+     ("check_claim3", ValueError("claim 3 needs claims 1 and 2 to hold")),
+     70),
+    (("color", "{k4p}"),
+     ("color_isk4plus_free", detect.CliquePreconditionError((0, 1, 2))),
+     70),
+    (("detect", "{k4p}"), ("find_isk4plus", AssertionError("broken")), 70),
+], ids=["argparse", "graph6-source-without-input", "enumeration-cap",
+        "random-source-too-large", "via-ramsey-bound", "missing-path",
+        "malformed-input", "budget", "internal-value-error",
+        "clique-precondition", "internal-assertion"])
+def test_exit_code_per_error_class(capsys, monkeypatch, tmp_path, k4p_file,
+                                   argv, patch, code):
+    # only usage errors exit 64; a ValueError raised anywhere below the
+    # CLI's own checks is an internal fault and exits 70
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"C~\nD?\n")
+    paths = {"k4p": k4p_file, "bad": str(bad),
+             "missing": str(tmp_path / "missing")}
+    if patch is not None:
+        name, exc = patch
+        module = {"check_claim3": structure, "find_isk4plus": detect,
+                  "color_isk4plus_free": coloring}[name]
+        monkeypatch.setattr(module, name, _raise(exc))
+    got, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert got == code
+    if code == 70:
+        assert err.splitlines()[-1].startswith("internal error: ")

@@ -5,14 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from isk4plus import detect
+from isk4plus import coloring, detect, structure
 from isk4plus.coloring import (ColorOptions, ColoringBudgetError,
                                _stays_connected, color_isk4plus_free,
                                coloring_to_json, merge_on_clique,
                                verify_proper)
 from isk4plus.detect import chromatic_number_exact, find_isk4plus
 from isk4plus.formats import parse_graph6
-from isk4plus.graph import Coloring, graph_from_edges, is_connected
+from isk4plus.graph import (Coloring, coloring_from_map, graph_from_edges,
+                            is_connected, mask_of)
 from isk4plus.harness import (complete_graph, cycle_graph, gnp_graph,
                               k4_plus_graph, path_graph,
                               planted_structured_graph, planted_k44_graph)
@@ -60,19 +61,19 @@ def test_greedy_missing_neighbor_color():
 def test_merge_two_triangles_sharing_edge():
     c1 = {0: 0, 1: 1, 2: 2}
     c2 = {0: 1, 1: 0, 3: 2}
-    merged = merge_on_clique(c1, c2, [0, 1])
+    merged = merge_on_clique(c1, c2, mask_of([0, 1]))
     assert merged == {0: 0, 1: 1, 2: 2, 3: 2}
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    assert verify_proper(g, merged) is None
+    assert verify_proper(g, coloring_from_map(4, merged)) is None
 
 
 def test_merge_empty_clique_concatenates():
-    merged = merge_on_clique({0: 0, 1: 1}, {2: 0, 3: 1}, [])
+    merged = merge_on_clique({0: 0, 1: 1}, {2: 0, 3: 1}, 0)
     assert merged == {0: 0, 1: 1, 2: 0, 3: 1}
 
 
 def test_merge_single_shared_vertex():
-    merged = merge_on_clique({0: 2, 1: 0}, {0: 0, 2: 1}, [0])
+    merged = merge_on_clique({0: 2, 1: 0}, {0: 0, 2: 1}, 0b1)
     assert merged[0] == 2
     assert merged[2] != 2
 
@@ -88,7 +89,7 @@ def test_merge_palette_bound_and_permutation():
         extra2 = {20 + i: rng.randint(0, 4) for i in range(3)}
         c1.update(extra1)
         c2.update(extra2)
-        merged = merge_on_clique(c1, c2, shared)
+        merged = merge_on_clique(c1, c2, mask_of(shared))
         p1 = 1 + max(c1.values(), default=-1)
         p2 = 1 + max(c2.values(), default=-1)
         assert 1 + max(merged.values(), default=-1) <= max(p1, p2)
@@ -108,9 +109,9 @@ def test_merge_palette_bound_and_permutation():
 
 def test_merge_rejects_non_injective():
     with pytest.raises(ValueError, match="injective"):
-        merge_on_clique({0: 0, 1: 0}, {0: 0, 1: 1}, [0, 1])
+        merge_on_clique({0: 0, 1: 0}, {0: 0, 1: 1}, 0b11)
     with pytest.raises(ValueError, match="injective"):
-        merge_on_clique({0: 0, 1: 1}, {0: 2, 1: 2}, [0, 1])
+        merge_on_clique({0: 0, 1: 1}, {0: 2, 1: 2}, 0b11)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +123,8 @@ def test_verify_proper_examples():
     assert verify_proper(g, Coloring((0, 0, 1, 2))) == (0, 1)
     empty = graph_from_edges(3, [])
     assert verify_proper(empty, Coloring((0, 0, 0))) is None
-    with pytest.raises(ValueError, match="uncolored"):
-        verify_proper(g, {0: 1, 1: 0, 2: 2})
+    with pytest.raises(ValueError, match="size does not match"):
+        verify_proper(g, Coloring((1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +547,138 @@ def test_k44_free_chain_searches_once(monkeypatch):
     assert verify_proper(g, col) is None
     assert calls == [96]
     assert sum(1 for node in trace.walk() if node.kind == "low-degree") > 50
+
+
+# ---------------------------------------------------------------------------
+# fallback steps keep M and the failing cutset
+
+def _fallback_heavy_inputs():
+    graphs = [planted_k44_graph(n, p, random.Random(seed))
+              for n in (64, 96) for p in (0.05, 0.065, 0.08)
+              for seed in range(3)]
+    graphs += [planted_k44_graph(n, p, random.Random(seed))
+               for n in (16, 24, 32) for p in (0.15, 0.3) for seed in range(2)]
+    # 8 joins A, and 9 sees all of A but 8; the first minimum-degree
+    # vertex is 8, in M, and without it 9 joins B, so M covers the rest
+    graphs.append(graph_from_edges(
+        10, K44_EDGES + [(8, b) for b in range(4, 8)]
+        + [(9, a) for a in range(4)]))
+    # C = {8, 10, 11} touches 0 and 1; once its lowest vertex 8 is gone,
+    # the first component is D = {9}, whose cutset {0} is a clique
+    graphs.append(graph_from_edges(
+        12, K44_EDGES + [(8, 10), (10, 11), (0, 10), (1, 11), (0, 9)]))
+    # with k = 3 the Ramsey route finds a K9,9 subgraph that loses a
+    # vertex outside M, and the next step extracts other seed sides
+    graphs.append(parse_graph6(
+        rb"XO?????~|~^{~w~w^{D~?~wB~_Av?E?T\?Vm?F~av?b_A|xp?Rf"))
+    return graphs
+
+
+def _count_reuse(monkeypatch):
+    """Classify each fallback step that follows another by what it keeps.
+
+    Each call of _kept_cut is classified by the first condition that
+    decides it, and its result is checked against that class.  A grow
+    call counts as "v in M" when it regrows M from the last grow call's
+    seed sides after the chain removed only outside vertices and then
+    one vertex of M.
+    """
+    seen = {}
+    kept_cut = coloring._kept_cut
+    grow = structure.grow_maximal_multipartite
+    last = {"grow": None, "kept": 0}
+
+    def classified(adj, cut, v):
+        (x, y), comp = cut
+        vbit = 1 << v
+        rest = comp & ~vbit
+        if not comp & vbit:
+            kind = "v outside C"
+        elif comp & -comp == vbit:
+            kind = "v lowest in C"
+        elif not adj[x] & rest or not adj[y] & rest:
+            kind = "pair loses C"
+        elif not _stays_connected(adj, rest, v):
+            kind = "C - v disconnected"
+        else:
+            kind = "C - v connected"
+        seen[kind] = seen.get(kind, 0) + 1
+        last["kept"] += 1
+        out = kept_cut(adj, cut, v)
+        assert out == {"v outside C": cut,
+                       "C - v connected": ((x, y), rest)}.get(kind)
+        return out
+
+    def counted(G, seed, *, members=None):
+        M = grow(G, seed, members=members)
+        if members is None:  # the reference
+            return M
+        sides = (seed.side_a, seed.side_b)
+        if last["grow"] is not None:
+            old_sides, old_members, inside = last["grow"]
+            gone = old_members & ~members
+            if sides == old_sides and not members & ~old_members and \
+                    gone.bit_count() == last["kept"] + 1 and gone & inside:
+                seen["v in M"] = seen.get("v in M", 0) + 1
+        last["grow"] = sides, members, M.members
+        last["kept"] = 0
+        return M
+
+    monkeypatch.setattr(coloring, "_kept_cut", classified)
+    monkeypatch.setattr(structure, "grow_maximal_multipartite", counted)
+    return seen
+
+
+def test_fallback_reuse_matches_reference(monkeypatch):
+    seen = _count_reuse(monkeypatch)
+
+    def kept_m():
+        return sum(n for kind, n in seen.items() if kind != "v in M")
+
+    ramsey_reuse = 0
+    for g in _fallback_heavy_inputs():
+        omega = detect.clique_number(g)
+        options = [ColorOptions(), ColorOptions(base_size=2)]
+        options += [ColorOptions(k=k, via_ramsey=True)
+                    for k in (omega - 1, omega) if 2 <= k <= 5]
+        for opts in options:
+            before = kept_m()
+            col, trace = color_isk4plus_free(g, opts)
+            assert coloring_to_json(col, trace) == \
+                coloring_to_json(*reference_color(g, opts))
+            if opts.via_ramsey:
+                ramsey_reuse += kept_m() - before
+    assert set(seen) == {"v outside C", "C - v connected", "v lowest in C",
+                         "C - v disconnected", "v in M", "pair loses C"}
+    assert ramsey_reuse > 0
+
+
+# the grow and cutset calls of each PLANTED_CHAINS coloring, which the
+# reference makes at every one of its 46-57 fallback steps
+PLANTED_CHAIN_CALLS = ((2, 5), (1, 7), (1, 3))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("chain,pinned",
+                         zip(PLANTED_CHAINS, PLANTED_CHAIN_CALLS))
+def test_planted_k44_chain_keeps_m_and_the_cutset(monkeypatch, chain,
+                                                  pinned):
+    p, seed, _ = chain
+    g = planted_k44_graph(64, p, random.Random(seed))
+    grows = _count_calls(monkeypatch, structure, "grow_maximal_multipartite")
+    cuts = _count_calls(monkeypatch, structure, "find_structural_cutset")
+    col, trace = color_isk4plus_free(g)
+    assert sum(1 for node in trace.walk() if node.fallback) > 40
+    assert (len(grows), len(cuts)) == pinned

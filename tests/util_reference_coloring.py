@@ -14,7 +14,7 @@ from isk4plus import detect, structure
 from isk4plus.coloring import (RAMSEY_R4, ColorOptions, TraceNode,
                                merge_on_clique, verify_proper)
 from isk4plus.graph import (Coloring, Graph, bit_list, coloring_from_map,
-                            components, induced_subgraph)
+                            components, induced_subgraph, mask_of)
 
 
 def greedy_extend(G: Graph, partial: Mapping[int, int], v: int,
@@ -90,7 +90,7 @@ def _color_rec(H, vmap, base, k, opts):
             child_colors, child_node = _color_rec(
                 sub, tuple(vmap[i] for i in smap), base, k, opts)
             node.children.append(child_node)
-            merged = merge_on_clique(merged, child_colors, ())
+            merged = merge_on_clique(merged, child_colors, 0)
         node.palette = _palette_of(merged)
         return merged, node
 
@@ -117,7 +117,7 @@ def _color_rec(H, vmap, base, k, opts):
         c1, n1 = _color_rec(g1, tuple(vmap[i] for i in map1), base, k, opts)
         c2, n2 = _color_rec(g2, tuple(vmap[i] for i in map2), base, k, opts)
         merged = merge_on_clique(
-            c1, c2, [vmap[v] for v in bit_list(split.clique)])
+            c1, c2, mask_of(vmap[v] for v in bit_list(split.clique)))
         node = TraceNode(
             "structural-split",
             palette=_palette_of(merged),
