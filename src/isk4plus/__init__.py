@@ -10,8 +10,7 @@ from .formats import (FormatError, parse_graph6, read_dimacs, read_edgelist,
 from .detect import (BicliqueWitness, Detection, SubdivisionWitness,
                      chromatic_number_exact, clique_number,
                      find_biclique_subgraph, find_induced_biclique,
-                     find_isk4plus, find_isk4plus_oracle, is_k4_subdivision,
-                     is_k4plus_subdivision, ramsey_extract_k44,
+                     find_isk4plus, find_isk4plus_oracle, ramsey_extract_k44,
                      verify_subdivision_witness)
 from .structure import (ClaimViolation, CutsetSplit, MaximalityBreach,
                         MultipartiteWitness, check_claim1, check_claim2,
@@ -26,8 +25,7 @@ __all__ = [
     "FormatError", "parse_graph6", "write_graph6", "read_edgelist",
     "read_dimacs",
     "SubdivisionWitness", "BicliqueWitness", "Detection",
-    "is_k4_subdivision", "is_k4plus_subdivision", "find_isk4plus",
-    "find_isk4plus_oracle", "verify_subdivision_witness",
+    "find_isk4plus", "find_isk4plus_oracle", "verify_subdivision_witness",
     "find_biclique_subgraph", "find_induced_biclique", "ramsey_extract_k44",
     "clique_number", "chromatic_number_exact",
     "MultipartiteWitness", "ClaimViolation", "MaximalityBreach",

@@ -225,64 +225,8 @@ def verify_subdivision_witness(G: Graph, w: SubdivisionWitness,
     return True
 
 
-def is_k4_subdivision(G: Graph) -> bool:
-    """Whole-graph test: is G itself a subdivision of K4 (K4 included)?"""
-    if G.n < 4:
-        return False
-    return _subset_subdivision(G.adj, G.vertex_mask) is not None
-
-
-def is_k4plus_subdivision(G: Graph) -> bool:
-    """Whole-graph test for subdivisions of the once-subdivided K4.
-
-    These are exactly the K4 subdivisions on at least 5 vertices: the
-    extra vertex singles out one K4 edge as the subdivided one.
-    """
-    return G.n >= 5 and is_k4_subdivision(G)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive subset oracle
-
-_POPCOUNT16 = None
-
-
-def _popcount_table():
-    global _POPCOUNT16
-    if _POPCOUNT16 is None:
-        import numpy as np
-        t = np.zeros(1 << 16, dtype=np.uint8)
-        k = 1
-        while k < (1 << 16):
-            t[k:2 * k] = t[:k] + 1
-            k *= 2
-        _POPCOUNT16 = t
-    return _POPCOUNT16
-
-
-def _profile_candidates(adj, n: int, min_total: int):
-    """Vectorized degree screen over all 2^n subsets (n <= 16).
-
-    Returns ascending subset masks whose induced degree profile could be a
-    K4 subdivision: every member degree in {2,3} with exactly four 3s.
-    """
-    import numpy as np
-    P = _popcount_table()
-    S = np.arange(1 << n, dtype=np.int32)
-    ok = P[S] >= min_total
-    cnt3 = np.zeros(1 << n, dtype=np.int8)
-    for v in range(n):
-        member = ((S >> v) & 1).astype(bool)
-        dv = P[S & adj[v]]
-        is3 = member & (dv == 3)
-        cnt3 += is3
-        ok &= ~(member & ~(is3 | (dv == 2)))
-    ok &= cnt3 == 4
-    return np.nonzero(ok)[0]
-
-
-_VECTOR_MIN_N = 11
-
 
 def find_isk4plus_oracle(G: Graph, *, min_total: int = 5
                          ) -> SubdivisionWitness | None:
@@ -294,17 +238,64 @@ def find_isk4plus_oracle(G: Graph, *, min_total: int = 5
         raise ValueError(f"oracle ceiling exceeded: {n} > {ORACLE_CEILING}")
     if n < min_total:
         return None
-    if n >= _VECTOR_MIN_N:
-        subsets = map(int, _profile_candidates(G.adj, n, min_total))
-    else:
-        # witness_from_subset tests the size too; testing it here spares
-        # a call for each of the many small subsets
-        subsets = (S for S in range(1 << n) if S.bit_count() >= min_total)
-    for S in subsets:
-        w = witness_from_subset(G, S, min_total)
-        if w is not None:
-            return w
-    return None
+    return _ordered_subsets(G, n - 1, 0, 0, 0, min_total)
+
+
+def _ordered_subsets(G: Graph, v: int, chosen: int, size: int, threes: int,
+                     min_total: int) -> SubdivisionWitness | None:
+    """The oracle's answer among the subsets that extend chosen (a set of
+    vertices above v, size of them, threes of degree 3 inside chosen) by
+    vertices 0..v, when size + v + 1 >= min_total.
+
+    Vertex v is left out before it is put in, so from the highest vertex
+    down this visits subsets in ascending mask order.  A branch is cut when
+    a chosen vertex has more than 3 chosen neighbors, a chosen vertex cannot
+    reach 2 even with every undecided neighbor, more than four chosen
+    vertices have degree 3, or too few vertices are left to reach
+    min_total.  Induced degrees only grow as vertices are added, so no cut
+    drops a subset whose degrees are all 2 or 3 with at most four 3s, and
+    the first witness is the plain enumeration's.
+    """
+    if v < 0:
+        # a K4 subdivision has exactly four vertices of degree 3
+        if threes != 4:
+            return None
+        return witness_from_subset(G, chosen, min_total)
+    adj = G.adj
+    low = (1 << v) - 1
+    reach = chosen | low
+    nb = adj[v] & chosen
+    if size + v >= min_total:
+        # out: v's chosen neighbors lose v as a possible neighbor
+        t = nb
+        while t:
+            b = t & -t
+            if (adj[b.bit_length() - 1] & reach).bit_count() < 2:
+                break
+            t ^= b
+        else:
+            w = _ordered_subsets(G, v - 1, chosen, size, threes, min_total)
+            if w is not None:
+                return w
+    # in: v and its chosen neighbors gain a neighbor each
+    d = nb.bit_count()
+    if d > 3 or (adj[v] & reach).bit_count() < 2:
+        return None
+    if d == 3:
+        threes += 1
+    chosen |= 1 << v
+    t = nb
+    while t:
+        b = t & -t
+        du = (adj[b.bit_length() - 1] & chosen).bit_count()
+        if du == 3:
+            threes += 1
+        elif du > 3:
+            return None
+        t ^= b
+    if threes > 4:
+        return None
+    return _ordered_subsets(G, v - 1, chosen, size + 1, threes, min_total)
 
 
 # ---------------------------------------------------------------------------

@@ -120,45 +120,69 @@ def iter_graph6_lines(lines) -> "iter":
         yield lineno, G
 
 
+def _check_vertex_count(n: int, lineno: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise FormatError(f"line {lineno}: vertex count {n} outside "
+                          f"0..{MAX_VERTICES}")
+
+
+def _edge(parts: list[str], n: int, base: int, lineno: int
+          ) -> tuple[int, int]:
+    """The 0-based endpoints of one "u v" edge line numbered from base."""
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-integer endpoint") from None
+    if not (base <= u < n + base and base <= v < n + base):
+        raise FormatError(f"line {lineno}: edge ({u},{v}) out of range "
+                          f"for n={n}")
+    if u == v:
+        raise FormatError(f"line {lineno}: loop edge at vertex {u}")
+    return u - base, v - base
+
+
 def read_edgelist(text: str) -> Graph:
     """Read the plain text format: "n m" header then m lines "u v" (0-based)."""
     rows = [(lineno, ln.split())
             for lineno, ln in enumerate(text.splitlines(), start=1)
             if ln.strip()]
-    if not rows or len(rows[0][1]) != 2:
-        raise FormatError("edge list must start with 'n m' header")
+    if not rows:
+        raise FormatError("line 1: edge list must start with 'n m' header")
+    head, fields = rows[0]
+    if len(fields) != 2:
+        raise FormatError(f"line {head}: edge list must start with 'n m' "
+                          "header")
     try:
-        n, m = int(rows[0][1][0]), int(rows[0][1][1])
+        n, m = int(fields[0]), int(fields[1])
     except ValueError:
-        raise FormatError(f"line {rows[0][0]}: non-integer edge list "
+        raise FormatError(f"line {head}: non-integer edge list "
                           "header") from None
+    _check_vertex_count(n, head)
     if len(rows) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(rows) - 1}")
+        raise FormatError(f"line {head}: expected {m} edge lines, "
+                          f"found {len(rows) - 1}")
     edges = []
     for lineno, parts in rows[1:]:
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer endpoint") from None
-        edges.append((u, v))
-    try:
-        return graph_from_edges(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        edges.append(_edge(parts, n, 0, lineno))
+    return graph_from_edges(n, edges)
 
 
 def read_dimacs(text: str) -> Graph:
     """Read a DIMACS .col file ("p edge n m" header, 1-based "e u v" lines)."""
     n = m = None
+    head = 0
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise FormatError(f"line {lineno}: second problem line")
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise FormatError(f"line {lineno}: bad problem line")
             try:
@@ -166,22 +190,19 @@ def read_dimacs(text: str) -> Graph:
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer vertex or "
                                   "edge count") from None
+            _check_vertex_count(n, lineno)
+            head = lineno
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'e u v'")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer endpoint") from None
-            edges.append((u, v))
+            edges.append(_edge(parts[1:], n, 1, lineno))
         # other record types (n, x, ...) are ignored
     if n is None:
-        raise FormatError("missing DIMACS problem line")
+        raise FormatError(f"line {len(lines) or 1}: input ends without a "
+                          "DIMACS problem line")
     if len(edges) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(edges)}")
-    try:
-        return graph_from_edges(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(f"line {head}: expected {m} edge lines, "
+                          f"found {len(edges)}")
+    return graph_from_edges(n, edges)

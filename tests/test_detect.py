@@ -12,8 +12,7 @@ from isk4plus.detect import (BUDGET, DEFAULT_NODE_BUDGET, FOUND, NONE,
                              SearchBudgetExceeded, chromatic_number_exact,
                              clique_number, find_biclique_subgraph,
                              find_induced_biclique, find_isk4plus,
-                             find_isk4plus_oracle, is_k4_subdivision,
-                             is_k4plus_subdivision, ramsey_extract_k44,
+                             find_isk4plus_oracle, ramsey_extract_k44,
                              verify_subdivision_witness, witness_from_subset)
 from isk4plus.formats import parse_graph6
 from isk4plus.graph import (bit_list, edge_list, graph_from_edges,
@@ -25,6 +24,7 @@ from isk4plus.harness import (complete_graph, complete_multipartite,
 
 from util_brute import brute_chromatic_number, brute_clique_number
 from util_exhaustive import detector_agreement_stats
+from util_recognizers import is_k4_subdivision, is_k4plus_subdivision
 
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
 
@@ -101,7 +101,7 @@ def test_oracle_ceiling():
 
 
 def test_oracle_vectorized_path_matches_plain():
-    # n >= 11 goes through the vectorized degree screen; same first witness
+    # the ordered subset search finds the plain enumeration's first witness
     rng = random.Random(21)
     for _ in range(20):
         g = planted_k44_graph(11, 0.25, rng)
@@ -117,6 +117,52 @@ def test_oracle_vectorized_path_matches_plain():
         assert (w_fast is None) == (first is None)
         if first is not None:
             assert w_fast.total == first.total
+
+
+def _first_witness_plain(g):
+    for S in range(1 << g.n):
+        if S.bit_count() >= 5:
+            w = witness_from_subset(g, S)
+            if w is not None:
+                return w
+    return None
+
+
+def _random_cubic_graph(n, rng):
+    # pair up three stubs per vertex until the pairing is a simple graph
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[::2], stubs[1::2]))
+        if (all(u != v for u, v in edges)
+                and len({frozenset(e) for e in edges}) == len(edges)):
+            return graph_from_edges(n, edges)
+
+
+def test_oracle_matches_plain_enumeration_seeded():
+    # the ordered search cuts branches on induced degrees alone, so on
+    # n = 11..16 its first witness is the plain ascending enumeration's
+    rng = random.Random(16)
+    mixed = []
+    free = [complete_multipartite(4, 4, 3), complete_multipartite(3, 3, 3, 3),
+            complete_multipartite(2, 2, 2, 2, 2, 2),
+            _relabel(complete_multipartite(5, 5, 6), rng)[0]]
+    for n in range(11, 17):
+        mixed += [gnp_graph(n, p, rng) for p in (0.12, 0.2, 0.35, 0.5)]
+        mixed.append(planted_k44_graph(n, 0.3, rng))
+        free += [cycle_graph(n),
+                 graph_from_edges(n, _random_chordal_edges(n, rng))]
+    mixed += [_random_cubic_graph(16, rng) for _ in range(6)]
+    witnesses = [find_isk4plus_oracle(g) for g in mixed + free]
+    for g, w in zip(mixed + free, witnesses):
+        first = _first_witness_plain(g)
+        if first is None:
+            assert w is None
+        else:
+            assert (w.branch, w.paths, w.total) == \
+                (first.branch, first.paths, first.total)
+    assert witnesses[len(mixed):] == [None] * len(free)
+    assert sum(w is not None for w in witnesses) >= 25
 
 
 # ---------------------------------------------------------------------------
