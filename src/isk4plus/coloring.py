@@ -8,13 +8,14 @@ Without one it removes a minimum-degree vertex and extends greedily on
 the way back; such a chain runs as one loop over degree buckets.  With
 one it grows the complete multipartite set M and recurses across the
 clique cutset that M induces, merging the two side colorings on the
-cutset.  Each search result is passed down: having no induced K4,4 is
-hereditary, and the first induced K4,4 of a mask stays the first of
-every submask that contains it, so a step searches only when its parent's
-result says nothing about it.  The output is a proper coloring for every
-input graph; on graphs that do contain an induced K4 subdivision on >= 5
-vertices the cutset step can fail, in which case the step is recorded in
-the trace and the minimum-degree branch is taken instead.  The next such
+cutset.  Each search result is passed down: having no induced K4,4 (or,
+on the --via-ramsey route, no K_{s,s} subgraph) is hereditary, and the
+first one of a mask stays the first of every submask that contains it,
+so a step searches only when its parent's result says nothing about it.
+The output is a proper coloring for every input graph; on graphs that do
+contain an induced K4 subdivision on >= 5 vertices the cutset step can
+fail, in which case the step is recorded in the trace and the
+minimum-degree branch is taken instead.  The next such
 fallback step keeps that step's M, and its failing pair, whenever removing
 one vertex provably leaves them as they were.
 """
@@ -33,7 +34,8 @@ from .graph import (Coloring, Graph, UsageError, coloring_from_map,
 # the biclique-then-extract route is requested
 RAMSEY_R4 = {2: 4, 3: 9, 4: 18, 5: 25}
 
-# the recursion's search result for a mask that holds no induced K4,4
+# the recursion's search result for a mask that holds no induced K4,4 (on
+# the --via-ramsey route: no K_{s,s} subgraph)
 _NO_K44 = object()
 
 
@@ -170,31 +172,50 @@ def _palette_of(colors: dict[int, int]) -> int:
     return 1 + max(colors.values()) if colors else 0
 
 
-def _find_seed(G: Graph, members: int, k: int, opts: ColorOptions):
-    """Locate an induced K4,4 within members, directly or via K_{s,s} +
-    extraction."""
+def _search(G: Graph, members: int, k: int, opts: ColorOptions):
+    """The search result a step carries for members: _NO_K44 or the
+    first induced K4,4 of members, and on the --via-ramsey route _NO_K44
+    or the first K_{s,s} subgraph of members for s = R(4, k)."""
     if not opts.via_ramsey:
-        return detect.find_induced_biclique(G, 4, budget=opts.detector_budget,
-                                            members=members)
-    s = RAMSEY_R4[k]
-    if members.bit_count() < 2 * s:
+        found = detect.find_induced_biclique(
+            G, 4, budget=opts.detector_budget, members=members)
+    elif members.bit_count() < 2 * RAMSEY_R4[k]:
+        found = None
+    else:
+        found = detect.find_biclique_subgraph(G, RAMSEY_R4[k],
+                                              members=members)
+    return _NO_K44 if found is None else found
+
+
+def _seed_of(G: Graph, known, k: int, opts: ColorOptions):
+    """The induced K4,4 a search result gives, or None: the result itself
+    on the direct route, and its stable-set extraction on the --via-ramsey
+    route."""
+    if known is _NO_K44:
         return None
-    sub = detect.find_biclique_subgraph(G, s, members=members)
-    if sub is None:
-        return None
+    if not opts.via_ramsey:
+        return known
     try:
-        return detect.ramsey_extract_k44(G, sub, k)
+        return detect.ramsey_extract_k44(G, known, k)
     except detect.CliquePreconditionError:
         # the promised clique bound was wrong; fall back to degeneracy
         return None
 
 
 def _inherit(known, members: int):
-    """The part of a K4,4 search result that holds on the submask members.
+    """The part of a search result that holds on the submask members.
 
-    "None found" is hereditary.  A seed is the first induced K4,4 of a
-    supermask, and it stays the first of every submask that contains it,
-    so it is kept exactly when its sides lie in members.
+    "None found" is hereditary.  A found witness W is kept exactly when
+    its sides lie in members, because it is then also the first one of
+    members.  An induced K4,4 is the first of its mask in the search
+    order, and every lexicographically smaller candidate that fails on a
+    supermask also fails on members.  A K_{s,s} subgraph has as side A
+    the lexicographically least s-set whose common neighborhood within
+    the mask has at least s members, and as side B the lowest s of that
+    neighborhood.  Removing vertices outside A and B only shrinks common
+    neighborhoods, so no smaller s-set qualifies, A still does, and B is
+    still its lowest s common neighbors.  The extraction depends on the
+    K_{s,s} alone, so it gives the same seed, or the same failure.
     """
     if isinstance(known, detect.BicliqueWitness) and \
             (known.side_a | known.side_b) & ~members:
@@ -255,9 +276,9 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
 
     Every search runs on (G, members), so colors, trace vertices and the
     seed, M and cutset all use G's own indices.  known is what is known of
-    the K4,4 search on members: None when nothing is, so the step
-    searches; _NO_K44 when members holds no induced K4,4; or the first
-    induced K4,4 of members, found on a supermask (see _inherit).
+    the search on members: None when nothing is, so the step searches;
+    otherwise a result of _search, found on members or on a supermask
+    (see _inherit).
 
     A chain of low-degree steps runs as one loop.  The degrees within
     members live in buckets, one vertex mask per degree, so each step
@@ -268,11 +289,10 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
     smallest color its neighbors leave free.
 
     A fallback step keeps what the fallback step before it computed.  M
-    is kept when the seed sides are equal by value, so also on the
-    --via-ramsey route, which searches at every step, and v was outside
-    M: the ascending scan of grow_maximal_multipartite never added v, so
-    it makes the same additions without it.  With M kept, the failing
-    pair is kept as _kept_cut says.  Anything else is recomputed.
+    is kept when the seed sides are equal and v was outside M: the
+    ascending scan of grow_maximal_multipartite never added v, so it makes
+    the same additions without it.  With M kept, the failing pair is kept
+    as _kept_cut says.  Anything else is recomputed.
     """
     adj = G.adj
     chain: list[tuple[int, str | None]] = []
@@ -305,15 +325,10 @@ def _color_rec(G: Graph, members: int, base: int, k: int,
 
         if known is None:
             try:
-                seed = _find_seed(G, members, k, opts)
+                known = _search(G, members, k, opts)
             except detect.SearchBudgetExceeded as exc:
                 raise ColoringBudgetError(str(exc)) from exc
-            # a failed Ramsey extraction proves nothing about submasks,
-            # so that route never passes a result on
-            if not opts.via_ramsey:
-                known = _NO_K44 if seed is None else seed
-        else:
-            seed = None if known is _NO_K44 else known
+        seed = _seed_of(G, known, k, opts)
 
         fallback = None
         if seed is None:

@@ -538,6 +538,44 @@ def _validate_sides(G: Graph, side_a: int, side_b: int) -> None:
             raise ValueError(f"vertex {a} misses part of the far side")
 
 
+def _candidates(adj, members: int, s: int) -> int:
+    """The members with at least s neighbors in members: the only
+    vertices a K_{s,s} within members can use."""
+    cand = 0
+    rest = members
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if (adj[b.bit_length() - 1] & members).bit_count() >= s:
+            cand |= b
+    return cand
+
+
+def _second_pool(adj, later: int, common: int, s: int) -> int:
+    """The vertices of later with at least s neighbors in common.
+
+    Both biclique searches offer only these as the second side-A vertex:
+    common is the first vertex's neighborhood within members, and a
+    vertex outside the pool would fail the search's own "at least s
+    common neighbors" test at this level and at every deeper one, since
+    common only shrinks.  So the first witness is unchanged.  A vertex
+    lies in the pool when it lies in at least s of the rows adj[w], w in
+    common, which one bit-sliced count finds: level[i] holds the vertices
+    seen in more than i of the rows so far.
+    """
+    if common.bit_count() < s:
+        return 0
+    level = [0] * s
+    while common:
+        b = common & -common
+        common ^= b
+        row = adj[b.bit_length() - 1]
+        for i in range(s - 1, 0, -1):
+            level[i] |= level[i - 1] & row
+        level[0] |= row
+    return later & level[-1]
+
+
 def find_biclique_subgraph(G: Graph, s: int, *, members: int | None = None
                            ) -> BicliqueWitness | None:
     """Smallest K_{s,s} subgraph (sides need not be stable), or None.
@@ -545,33 +583,35 @@ def find_biclique_subgraph(G: Graph, s: int, *, members: int | None = None
     Side A is grown vertex by vertex in ascending order while intersecting
     the common neighborhood; side B is the lexicographically least s-subset
     of the final common neighborhood.  members restricts the search to the
-    subgraph induced on that vertex mask (default: all of G).
+    subgraph induced on that vertex mask (default: all of G).  The second
+    side-A vertex comes from _second_pool.
     """
     if s < 1:
         raise ValueError("s must be positive")
     members = _members_of(G, members)
     adj = G.adj
-    cand = [v for v in range(G.n)
-            if (members >> v) & 1 and (adj[v] & members).bit_count() >= s]
-    if len(cand) < s:
+    cand = _candidates(adj, members, s)
+    if cand.bit_count() < s:
         return None
 
-    def grow(start: int, chosen: int, k: int, common: int):
+    def grow(pool: int, chosen: int, k: int, common: int):
         if k == s:
             if common.bit_count() >= s:
                 return chosen, lowest_bits(common, s)
             return None
-        for idx in range(start, len(cand)):
-            v = cand[idx]
-            ncommon = common & adj[v]
+        while pool:
+            vbit = pool & -pool
+            pool ^= vbit
+            ncommon = common & adj[vbit.bit_length() - 1]
             if ncommon.bit_count() < s:
                 continue
-            hit = grow(idx + 1, chosen | (1 << v), k + 1, ncommon)
+            later = _second_pool(adj, pool, ncommon, s) if k == 0 else pool
+            hit = grow(later, chosen | vbit, k + 1, ncommon)
             if hit is not None:
                 return hit
         return None
 
-    hit = grow(0, 0, 0, members)
+    hit = grow(cand, 0, 0, members)
     if hit is None:
         return None
     a, b = hit
@@ -613,7 +653,9 @@ def find_induced_biclique(G: Graph, s: int, budget: int | None = None, *,
     An optional node budget raises SearchBudgetExceeded when exhausted.
     members restricts the search to the subgraph induced on that vertex
     mask (default: all of G); the search visits the same nodes as on that
-    induced subgraph, and the sides are in G's indices.
+    induced subgraph, and the sides are in G's indices.  The second side-A
+    vertex comes from _second_pool, and a vertex it leaves out spends no
+    node.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -622,33 +664,33 @@ def find_induced_biclique(G: Graph, s: int, budget: int | None = None, *,
     adj = G.adj
     if members.bit_count() < 2 * s:
         return None
-    cand = [v for v in range(G.n)
-            if (members >> v) & 1 and (adj[v] & members).bit_count() >= s]
-    if len(cand) < 2 * s:
+    cand = _candidates(adj, members, s)
+    if cand.bit_count() < 2 * s:
         return None
 
-    def grow(start: int, chosen: int, k: int, common: int, stable_pool: int):
+    def grow(pool: int, chosen: int, k: int, common: int, stable_pool: int):
         if k == s:
             b = _smallest_stable_subset(adj, common, s, spend)
             if b is not None:
                 return chosen, b
             return None
-        for idx in range(start, len(cand)):
-            v = cand[idx]
-            vbit = 1 << v
-            if not stable_pool & vbit:
-                continue
+        pool &= stable_pool
+        while pool:
+            vbit = pool & -pool
+            pool ^= vbit
+            v = vbit.bit_length() - 1
             spend()
             ncommon = common & adj[v]
             if ncommon.bit_count() < s:
                 continue
-            hit = grow(idx + 1, chosen | vbit, k + 1, ncommon,
+            later = _second_pool(adj, pool, ncommon, s) if k == 0 else pool
+            hit = grow(later, chosen | vbit, k + 1, ncommon,
                        stable_pool & ~adj[v] & ~vbit)
             if hit is not None:
                 return hit
         return None
 
-    hit = grow(0, 0, 0, members, members)
+    hit = grow(cand, 0, 0, members, members)
     if hit is None:
         return None
     a, b = hit

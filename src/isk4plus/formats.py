@@ -45,14 +45,26 @@ def write_graph6(G: Graph) -> bytes:
     return bytes(out)
 
 
+# the 6 data bits of each printable byte value, least significant first
+_REVERSED_GROUP = [format(b - 63, "06b")[::-1] if 63 <= b <= 126 else ""
+                   for b in range(256)]
+_PRINTABLE = bytes(range(63, 127))
+
+
 def parse_graph6(data: bytes | str) -> Graph:
-    """Decode one graph6 record; rejects trailing bytes and bad padding."""
+    """Decode one graph6 record; rejects trailing bytes and bad padding.
+
+    The body becomes one int whose bit p is the pair at column-order
+    position p, so column j, the pairs (i, j) with i < j, is the next j
+    bits; each column is row j's part below j and is mirrored into the
+    rows of its members.
+    """
     data = _ascii_bytes(data)
     if not data:
         raise FormatError("empty graph6 record")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise FormatError(f"non-printable graph6 byte {b}")
+    bad = data.translate(None, _PRINTABLE)
+    if bad:
+        raise FormatError(f"non-printable graph6 byte {bad[0]}")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise FormatError("graph6 records beyond 258047 vertices unsupported")
@@ -72,24 +84,21 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise FormatError(f"truncated graph6 record: need {need} data bytes")
     if len(body) > need:
         raise FormatError("trailing garbage after graph6 record")
+    # the last byte's group holds the highest positions, so it leads
+    bits = int("".join(map(_REVERSED_GROUP.__getitem__, reversed(body)))
+               or "0", 2)
+    if bits >> nbits:
+        raise FormatError("nonzero padding bits in graph6 record")
     rows = [0] * n
-    pos = 0
-    # (i, j) is the pair at column-order position pos
-    i, j = 0, 1
-    for byte in body:
-        group = byte - 63
-        for k in range(5, -1, -1):
-            bit = (group >> k) & 1
-            if pos < nbits:
-                if bit:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif bit:
-                raise FormatError("nonzero padding bits in graph6 record")
-            pos += 1
+    for j in range(1, n):
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        rows[j] = col
+        jbit = 1 << j
+        while col:
+            b = col & -col
+            col ^= b
+            rows[b.bit_length() - 1] |= jbit
     return Graph(n, tuple(rows))
 
 

@@ -344,8 +344,11 @@ def _survey_task(args) -> tuple[bool, bool, int, int, Graph | None]:
     passed, budget_hit = passes_filters(G, filters, budget)
     if not passed:
         return False, budget_hit, 0, 0, None
-    omega = detect.clique_number(G)
-    chi = detect.chromatic_number_exact(G, omega=omega)
+    try:
+        omega = detect.clique_number(G, budget=budget)
+        chi = detect.chromatic_number_exact(G, budget=budget, omega=omega)
+    except detect.SearchBudgetExceeded:
+        return False, True, 0, 0, None
     return True, False, omega, chi, G
 
 
@@ -398,7 +401,11 @@ def survey_to_csv(rows: list[SurveyRow]) -> str:
 def _claims_task(args) -> dict:
     G, budget = args
     out = {"graph": G, "status": "", "claim": 0, "errors": []}
-    seed = detect.find_induced_biclique(G, 4)
+    try:
+        seed = detect.find_induced_biclique(G, 4, budget)
+    except detect.SearchBudgetExceeded:
+        out["status"] = "budget"
+        return out
     if seed is None:
         out["status"] = "no-k44"
         return out

@@ -133,6 +133,26 @@ def test_verify_claims_cli(capsys):
     assert doc["graphs"] == 20
 
 
+def test_campaign_searches_spend_the_budget(capsys, tmp_path):
+    # K_{3,3,3} has 9 vertices of degree 6 but no induced K4,4, so only a
+    # search proves "no K4,4", and with no node to spend it stops first.
+    # K5 passes the empty filter list, so the clique search spends first.
+    from isk4plus.harness import complete_multipartite
+    path = tmp_path / "k333.g6"
+    path.write_bytes(write_graph6(complete_multipartite(3, 3, 3)) + b"\n")
+    code, out, _ = run(capsys, "verify-claims", "--source", "graph6",
+                       "--input", str(path), "--budget", "0")
+    doc = json.loads(out)
+    assert code == 3
+    assert (doc["budget_hits"], doc["no_k44"]) == (1, 0)
+    path.write_bytes(write_graph6(complete_graph(5)) + b"\n")
+    code, out, err = run(capsys, "survey", "--source", "graph6",
+                         "--input", str(path), "--budget", "0")
+    assert code == 3
+    assert "graphs=1 passed=0 budget_hits=1" in err
+    assert out == "n,omega,max_chi_observed,count_graphs,example_graph6\n"
+
+
 def test_check_bounds_cli(capsys):
     code, out, _ = run(capsys, "check-bounds", "--max-n", "5",
                        "--filter", "triangle-free", "--filter", "isk4-free")

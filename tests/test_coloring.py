@@ -682,3 +682,24 @@ def test_planted_k44_chain_keeps_m_and_the_cutset(monkeypatch, chain,
     col, trace = color_isk4plus_free(g)
     assert sum(1 for node in trace.walk() if node.fallback) > 40
     assert (len(grows), len(cuts)) == pinned
+
+
+def test_via_ramsey_passes_its_biclique_down(monkeypatch):
+    # The K_{s,s} search result is passed down like the induced K4,4
+    # search's: having none is hereditary, and a found K_{s,s} stays the
+    # first of every submask that holds both its sides.  Searching at
+    # every step, as the reference does, makes 225 calls at k = 2 and 185
+    # at k = 3 on these four graphs.
+    searches = _count_calls(monkeypatch, detect, "find_biclique_subgraph")
+    graphs = [planted_k44_graph(64, 0.06, random.Random(seed))
+              for seed in range(4)]
+    for k, pinned in ((2, 5), (3, 4)):
+        opts = ColorOptions(k=k, via_ramsey=True)
+        searches.clear()
+        outputs = [coloring_to_json(*color_isk4plus_free(g, opts))
+                   for g in graphs]
+        assert len(searches) == pinned
+        searches.clear()
+        assert outputs == [coloring_to_json(*reference_color(g, opts))
+                           for g in graphs]
+        assert len(searches) > 40 * pinned

@@ -13,6 +13,8 @@ from isk4plus.formats import (FormatError, parse_graph6, read_dimacs,
 from isk4plus.harness import (complete_multipartite, complete_graph,
                               cycle_graph, gnp_graph, k4_plus_graph)
 
+from util_reference_scans import parse_graph6_bitloop
+
 
 def test_k4_from_edges():
     g = graph_from_edges(4, combinations(range(4), 2))
@@ -167,6 +169,53 @@ def test_graph6_k4plus_round_trip():
 def test_graph6_malformed(data):
     with pytest.raises(FormatError):
         parse_graph6(data)
+
+
+def _decoded(parse, data):
+    try:
+        return "graph", parse(data)
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def _mutations(rec: bytes, rng: random.Random):
+    """Malformed variants of a valid record: cut, extended, a padding bit
+    set, a byte outside 63..126, a long-form size above 128."""
+    yield rec[:-1]
+    yield rec + bytes([rng.randint(63, 126)])
+    n = rec[0] - 63 if rec[0] != 126 else \
+        ((rec[1] - 63) << 12) | ((rec[2] - 63) << 6) | (rec[3] - 63)
+    pad = -(n * (n - 1) // 2) % 6
+    if pad:
+        group = rec[-1] - 63 | 1 << rng.randrange(pad)
+        yield rec[:-1] + bytes([63 + group])
+    pos = rng.randrange(len(rec))
+    yield rec[:pos] + bytes([rng.choice([0, 10, 32, 62, 127, 200])]) + \
+        rec[pos + 1:]
+    big = rng.randint(129, 258047)
+    yield bytes([126, 63 + (big >> 12), 63 + ((big >> 6) & 63),
+                 63 + (big & 63)]) + rec[1:]
+
+
+def test_graph6_decoder_matches_bit_loop():
+    """Column-slice decoding gives the bit-loop decoder's graph, the same
+    graph the checked constructor accepts, and the same error message on
+    every malformed record."""
+    rng = random.Random(6006)
+    mutated = 0
+    for n in range(129):
+        for p in (0.0, 0.05, 0.3, 0.7, 1.0):
+            rec = write_graph6(gnp_graph(n, p, rng))
+            g = parse_graph6(rec)
+            assert g == parse_graph6_bitloop(rec)
+            assert g == Graph(g.n, g.adj)
+            assert write_graph6(g) == rec
+            for bad in _mutations(rec, rng):
+                kind, message = _decoded(parse_graph6, bad)
+                assert kind == "error", bad
+                assert _decoded(parse_graph6_bitloop, bad) == (kind, message)
+                mutated += 1
+    assert mutated > 2500
 
 
 def test_graph6_fixture_file():
