@@ -331,6 +331,16 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
     Existence verdicts match the subset oracle; the returned witness may
     differ.  Exhausting the node budget yields status "budget", never a
     wrong verdict.
+
+    Each quad spends one node.  Before it reaches _search_quad, the loop
+    finds the quad's first non-adjacent pair (x, y) in PAIR_SLOTS order,
+    whose path is grown first.  That path may use only kept vertices off
+    the quad and outside the closed neighborhoods of the other two branch
+    vertices, so if x or y has no neighbor there, _search_quad would reject
+    the quad before it spends a node.  The loop skips such quads, and for
+    min_total > 4 the quads that induce K4, so verdicts, witnesses and node
+    counts are those of handing every quad over.  On K_{2,2,2,2}, which the
+    twin cap leaves of every K_{s,s,s,s}, no quad reaches _search_quad.
     """
     spend = _spender(budget, "detector search budget")
     n = G.n
@@ -343,9 +353,36 @@ def find_isk4plus(G: Graph, *, budget: int | None = DEFAULT_NODE_BUDGET,
     cand = [v for v in bit_list(keep) if (adj[v] & keep).bit_count() >= 3]
     if len(cand) < 4:
         return Detection(NONE)
+    closed = {v: adj[v] | 1 << v for v in cand}
     try:
         for quad in combinations(cand, 4):
             spend()
+            a, b, c, d = quad
+            ra, rb = adj[a], adj[b]
+            # rx, ry: the rows of the first non-adjacent pair in PAIR_SLOTS
+            # order, whose path _search_quad grows first; shut: the closed
+            # neighborhoods of the other two, which that path must avoid
+            if not (ra >> b) & 1:
+                rx, ry, shut = ra, adj[b], closed[c] | closed[d]
+            elif not (ra >> c) & 1:
+                rx, ry, shut = ra, adj[c], closed[b] | closed[d]
+            elif not (ra >> d) & 1:
+                rx, ry, shut = ra, adj[d], closed[b] | closed[c]
+            elif not (rb >> c) & 1:
+                rx, ry, shut = rb, adj[c], closed[a] | closed[d]
+            elif not (rb >> d) & 1:
+                rx, ry, shut = rb, adj[d], closed[a] | closed[c]
+            elif not (adj[c] >> d) & 1:
+                rx, ry, shut = adj[c], adj[d], closed[a] | closed[b]
+            elif min_total > 4:
+                continue
+            else:
+                # the quad induces K4, its own witness for min_total = 4
+                return Detection(FOUND, _search_quad(adj, quad, min_total,
+                                                     spend, keep))
+            usable = keep & ~shut
+            if not (rx & usable and ry & usable):
+                continue
             w = _search_quad(adj, quad, min_total, spend, keep)
             if w is not None:
                 return Detection(FOUND, w)
@@ -417,6 +454,14 @@ def _cap_twins(adj, alive: int) -> int:
 
 
 def _search_quad(adj, quad, min_total, spend, keep):
+    """The first witness with branch vertices quad, or None.
+
+    Adjacent pairs are joined by their edge.  The other pairs, in
+    PAIR_SLOTS order, each get a path through keep, grown shortest-first
+    with full backtracking as find_isk4plus describes; each vertex tried
+    on a path spends a node.  A quad that induces K4 is its own witness
+    for min_total = 4 and has none for larger min_total.
+    """
     qmask = 0
     for v in quad:
         qmask |= 1 << v

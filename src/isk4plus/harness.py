@@ -269,6 +269,9 @@ class CampaignConfig:
                 not 0 <= self.min_n <= self.max_n <= MAX_VERTICES:
             raise UsageError(
                 f"random sources need 0 <= min_n <= max_n <= {MAX_VERTICES}")
+        if self.source in ("gnp", "k44-random") and not 0 <= self.p <= 1:
+            raise UsageError(f"edge probability p must lie in [0, 1], "
+                             f"got {self.p}")
         for f in self.filters:
             if f not in FILTER_NAMES:
                 raise UsageError(f"unknown filter {f!r}")

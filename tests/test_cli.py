@@ -368,6 +368,9 @@ def _raise(exc):
     (("survey", "--source", "graph6"), None, 64),
     (("survey", "--max-n", "9"), None, 64),
     (("survey", "--source", "gnp", "--max-n", "200"), None, 64),
+    (("survey", "--source", "gnp", "--p", "1.5"), None, 64),
+    (("verify-claims", "--source", "k44-random", "--p", "-0.2"), None, 64),
+    (("check-bounds", "--source", "gnp", "--p", "nan"), None, 64),
     (("color", "{k4p}", "--via-ramsey", "--k", "7"), None, 64),
     (("color", "{missing}"), None, 64),
     (("detect", "{bad}"), None, 65),
@@ -380,7 +383,8 @@ def _raise(exc):
      70),
     (("detect", "{k4p}"), ("find_isk4plus", AssertionError("broken")), 70),
 ], ids=["argparse", "graph6-source-without-input", "enumeration-cap",
-        "random-source-too-large", "via-ramsey-bound", "missing-path",
+        "random-source-too-large", "p-above-one", "p-below-zero", "p-nan",
+        "via-ramsey-bound", "missing-path",
         "malformed-input", "budget", "internal-value-error",
         "clique-precondition", "internal-assertion"])
 def test_exit_code_per_error_class(capsys, monkeypatch, tmp_path, k4p_file,

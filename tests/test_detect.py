@@ -26,7 +26,8 @@ from util_brute import brute_chromatic_number, brute_clique_number
 from util_exhaustive import detector_agreement_stats
 from util_recognizers import is_k4_subdivision, is_k4plus_subdivision
 from util_reference_scans import (find_biclique_subgraph_scan,
-                                  find_induced_biclique_scan)
+                                  find_induced_biclique_scan,
+                                  find_isk4plus_every_quad)
 
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
 
@@ -224,11 +225,75 @@ def test_find_proves_none_on_large_k_ssss(s):
 
 
 @pytest.mark.parametrize("s", [3, 8, 32])
-def test_k_ssss_costs_70_nodes(s):
-    # the cap leaves K_{2,2,2,2}: its C(8, 4) = 70 quads fail at once
+def test_k_ssss_costs_70_nodes(s, monkeypatch):
+    # the cap leaves K_{2,2,2,2}: its C(8, 4) = 70 quads fail at once, in
+    # the quad loop itself, so none reaches _search_quad
+    calls = _count_search_quad(monkeypatch)
     g = complete_multipartite(s, s, s, s)
     assert find_isk4plus(g, budget=70).status == NONE
     assert find_isk4plus(g, budget=69).status == BUDGET
+    assert calls[0] == 0
+
+
+def _count_search_quad(monkeypatch):
+    """Wrap detect._search_quad so every call is counted."""
+    calls = [0]
+    search_quad = detect._search_quad
+
+    def counted(*args):
+        calls[0] += 1
+        return search_quad(*args)
+
+    monkeypatch.setattr(detect, "_search_quad", counted)
+    return calls
+
+
+def _quad_loop_family(rng):
+    """Seeded graphs for the quad-loop differential: relabeled complete
+    multipartite cores, chordal graphs bare and with holes closed by extra
+    edges, planted-clean graphs, G(n, p) and planted K4,4 graphs."""
+    graphs = []
+    for sizes in [(s,) * 4 for s in range(4, 9)] + [
+            (4, 4, 5, 5), (5, 5, 5, 3), (4, 4, 4, 4, 2)]:
+        graphs.append(_relabel(complete_multipartite(*sizes), rng)[0])
+    for extra in [0] * 10 + [1, 2, 3] * 5:
+        n = rng.randint(10, 14)
+        edges = _random_chordal_edges(n, rng)
+        for _ in range(extra):
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in edges:
+                edges.append((u, v))
+        graphs.append(graph_from_edges(n, edges))
+    graphs += [planted_structured_graph(rng, "clean") for _ in range(15)]
+    for _ in range(300):
+        graphs.append(gnp_graph(rng.randint(5, 16),
+                                rng.choice([0.15, 0.25, 0.35, 0.5, 0.7]),
+                                rng))
+    graphs += [planted_k44_graph(rng.randint(8, 14), 0.5, rng)
+               for _ in range(40)]
+    return graphs
+
+
+def test_quad_loop_skips_match_every_quad_search(monkeypatch):
+    """Skipping the quads whose first path has no room, in the loop,
+    keeps every status, witness and node count of the search that hands
+    every quad to _search_quad, and only ever saves calls."""
+    nodes = _count_nodes(monkeypatch)
+    calls = _count_search_quad(monkeypatch)
+    statuses = set()
+    saved = 0
+    for g in _quad_loop_family(random.Random(2020)):
+        for min_total in (5, 4):
+            nodes[0] = calls[0] = 0
+            det = find_isk4plus(g, budget=100_000, min_total=min_total)
+            spent, called = nodes[0], calls[0]
+            nodes[0] = calls[0] = 0
+            assert find_isk4plus_every_quad(
+                g, budget=100_000, min_total=min_total) == det
+            assert nodes[0] == spent and calls[0] >= called
+            saved += calls[0] - called
+            statuses.add(det.status)
+    assert statuses == {FOUND, NONE} and saved > 0
 
 
 def test_find_matches_oracle_dense_and_multipartite():

@@ -6,13 +6,21 @@ neighbor pool: every level scans every later candidate.  Both spend their
 nodes through detect._spender, so a test that wraps it counts the nodes of
 the library search and of its reference alike.  parse_graph6_bitloop is
 the graph6 decoder that walked the body one bit at a time and built the
-graph through the checked Graph constructor.
+graph through the checked Graph constructor.  find_isk4plus_every_quad
+is the detector as it was before its quad loop skipped the quads whose
+first path has no room: it hands every quad to detect._search_quad and
+spends its nodes through detect._spender too.
 """
 
+from itertools import combinations
+
 from isk4plus import detect
-from isk4plus.detect import BicliqueWitness
+from isk4plus.detect import (BUDGET, DEFAULT_NODE_BUDGET, FOUND, NONE,
+                             BicliqueWitness, Detection,
+                             SearchBudgetExceeded)
 from isk4plus.formats import FormatError, _ascii_bytes
-from isk4plus.graph import MAX_VERTICES, Graph, _as_mask, lowest_bits
+from isk4plus.graph import (MAX_VERTICES, Graph, _as_mask, bit_list,
+                            lowest_bits)
 
 
 def _members_of(G, members):
@@ -135,3 +143,26 @@ def parse_graph6_bitloop(data):
                 raise FormatError("nonzero padding bits in graph6 record")
             pos += 1
     return Graph(n, tuple(rows))
+
+
+def find_isk4plus_every_quad(G, *, budget=DEFAULT_NODE_BUDGET, min_total=5):
+    spend = detect._spender(budget, "detector search budget")
+    n = G.n
+    adj = G.adj
+    if n < min_total or n < 4:
+        return Detection(NONE)
+    keep = G.vertex_mask
+    if min_total > 4:
+        keep = detect._cap_twins(adj, detect._peel_simplicial(adj, keep))
+    cand = [v for v in bit_list(keep) if (adj[v] & keep).bit_count() >= 3]
+    if len(cand) < 4:
+        return Detection(NONE)
+    try:
+        for quad in combinations(cand, 4):
+            spend()
+            w = detect._search_quad(adj, quad, min_total, spend, keep)
+            if w is not None:
+                return Detection(FOUND, w)
+        return Detection(NONE)
+    except SearchBudgetExceeded:
+        return Detection(BUDGET)
