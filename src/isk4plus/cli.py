@@ -130,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("--via-ramsey", action="store_true",
                    help="find K4,4 through a K_{s,s} plus stable-set "
                         "extraction (clique bound at most 5)")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_count("clique bound"), default=None,
                    help="clique bound (default: computed exactly)")
     p.add_argument("--base-size", type=_count("base size"), default=None)
     p.add_argument("--lines", action="store_true",
@@ -144,14 +144,14 @@ def build_parser() -> _Parser:
                        default="enumerate")
         p.add_argument("--input", default=None,
                        help="graph6 stream path or - (source graph6)")
-        p.add_argument("--max-n", type=int, default=5)
-        p.add_argument("--min-n", type=int, default=1)
-        p.add_argument("--count", type=int, default=100)
+        p.add_argument("--max-n", type=_count("max-n"), default=5)
+        p.add_argument("--min-n", type=_count("min-n"), default=1)
+        p.add_argument("--count", type=_count("count"), default=100)
         p.add_argument("--p", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--filter", action="append", default=[],
                        choices=list(harness.FILTER_NAMES))
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_count("jobs"), default=1)
         p.add_argument("--budget", type=_budget,
                        default=detect.DEFAULT_NODE_BUDGET)
         p.add_argument("--output", default=None,

@@ -599,7 +599,7 @@ def _candidates(adj, members: int, s: int) -> int:
 def _second_pool(adj, later: int, common: int, s: int) -> int:
     """The vertices of later with at least s neighbors in common.
 
-    Both biclique searches offer only these as the second side-A vertex:
+    _first_biclique offers only these as the second side-A vertex:
     common is the first vertex's neighborhood within members, and a
     vertex outside the pool would fail the search's own "at least s
     common neighbors" test at this level and at every deeper one, since
@@ -621,73 +621,83 @@ def _second_pool(adj, later: int, common: int, s: int) -> int:
     return later & level[-1]
 
 
-def find_biclique_subgraph(G: Graph, s: int, *, members: int | None = None
-                           ) -> BicliqueWitness | None:
-    """Smallest K_{s,s} subgraph (sides need not be stable), or None.
+def _smallest_stable_subset(conflict, pool: int, s: int,
+                            spend) -> int | None:
+    """Lexicographically least s-subset of pool with no conflict edge
+    inside, or None.
 
-    Side A is grown vertex by vertex in ascending order while intersecting
-    the common neighborhood; side B is the lexicographically least s-subset
-    of the final common neighborhood.  members restricts the search to the
-    subgraph induced on that vertex mask (default: all of G).  The second
-    side-A vertex comes from _second_pool.
+    Each vertex tried spends a node and passes on only the later pool
+    vertices outside its conflict row; a level stops once fewer vertices
+    are left than it still needs.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
-    members = _members_of(G, members)
-    adj = G.adj
+    def grow(allowed: int, chosen: int, k: int):
+        if k == s:
+            return chosen
+        while allowed.bit_count() >= s - k:
+            vbit = allowed & -allowed
+            allowed ^= vbit
+            spend()
+            hit = grow(allowed & ~conflict[vbit.bit_length() - 1],
+                       chosen | vbit, k + 1)
+            if hit is not None:
+                return hit
+        return None
+
+    return grow(pool, 0, 0)
+
+
+def _first_biclique(adj, conflict, members: int, s: int, spend):
+    """The first K_{s,s} within members whose sides hold no conflict edge,
+    as (side A, side B) masks, or None.
+
+    Side A grows vertex by vertex in ascending order over the candidates
+    while the common neighborhood shrinks, and the second side-A vertex
+    comes from _second_pool.  Each vertex tried spends a node, and a
+    chosen vertex v passes on only the later vertices outside conflict[v].
+    A level stops once its pool holds fewer vertices than side A still
+    needs.  Side B is the least conflict-free s-subset of the final common
+    neighborhood.  Conflict rows equal to adj ask for both sides stable;
+    zero rows ask for any K_{s,s} subgraph.
+    """
     cand = _candidates(adj, members, s)
-    if cand.bit_count() < s:
+    if cand.bit_count() < 2 * s:
         return None
 
     def grow(pool: int, chosen: int, k: int, common: int):
         if k == s:
-            if common.bit_count() >= s:
-                return chosen, lowest_bits(common, s)
-            return None
-        while pool:
+            b = _smallest_stable_subset(conflict, common, s, spend)
+            return None if b is None else (chosen, b)
+        while pool.bit_count() >= s - k:
             vbit = pool & -pool
             pool ^= vbit
-            ncommon = common & adj[vbit.bit_length() - 1]
+            v = vbit.bit_length() - 1
+            spend()
+            ncommon = common & adj[v]
             if ncommon.bit_count() < s:
                 continue
             later = _second_pool(adj, pool, ncommon, s) if k == 0 else pool
-            hit = grow(later, chosen | vbit, k + 1, ncommon)
+            hit = grow(later & ~conflict[v], chosen | vbit, k + 1, ncommon)
             if hit is not None:
                 return hit
         return None
 
-    hit = grow(cand, 0, 0, members)
-    if hit is None:
-        return None
-    a, b = hit
-    return BicliqueWitness(a, b, induced=False)
+    return grow(cand, 0, 0, members)
 
 
-def _smallest_stable_subset(adj, pool: int, s: int,
-                            spend=None) -> int | None:
-    """Lexicographically least stable s-subset of pool, or None."""
-    verts = bit_list(pool)
+def find_biclique_subgraph(G: Graph, s: int, *, members: int | None = None
+                           ) -> BicliqueWitness | None:
+    """Smallest K_{s,s} subgraph (sides need not be stable), or None.
 
-    def grow(start: int, chosen: int, k: int, allowed: int):
-        if k == s:
-            return chosen
-        for idx in range(start, len(verts)):
-            v = verts[idx]
-            vbit = 1 << v
-            if not allowed & vbit:
-                continue
-            if spend is not None:
-                spend()
-            rest = allowed & ~adj[v] & ~vbit
-            # even taking every remaining allowed vertex must reach s
-            if rest.bit_count() < s - k - 1:
-                continue
-            hit = grow(idx + 1, chosen | vbit, k + 1, rest)
-            if hit is not None:
-                return hit
-        return None
-
-    return grow(0, 0, 0, pool)
+    members restricts the search to the subgraph induced on that vertex
+    mask (default: all of G).  This is _first_biclique with one zero
+    conflict row per vertex, so side B is the least s-subset of the final
+    common neighborhood.  The search has no budget.
+    """
+    if s < 1:
+        raise ValueError("s must be positive")
+    hit = _first_biclique(G.adj, [0] * G.n, _members_of(G, members), s,
+                          _spender(None, "biclique search"))
+    return None if hit is None else BicliqueWitness(*hit, induced=False)
 
 
 def find_induced_biclique(G: Graph, s: int, budget: int | None = None, *,
@@ -698,48 +708,15 @@ def find_induced_biclique(G: Graph, s: int, budget: int | None = None, *,
     An optional node budget raises SearchBudgetExceeded when exhausted.
     members restricts the search to the subgraph induced on that vertex
     mask (default: all of G); the search visits the same nodes as on that
-    induced subgraph, and the sides are in G's indices.  The second side-A
-    vertex comes from _second_pool, and a vertex it leaves out spends no
-    node.
+    induced subgraph, and the sides are in G's indices.  This is
+    _first_biclique with G's own rows as the conflict rows, so each chosen
+    vertex drops its neighbors from side A's pool and side B is stable.
     """
     if s < 1:
         raise ValueError("s must be positive")
     spend = _spender(budget, "induced biclique search budget")
-    members = _members_of(G, members)
-    adj = G.adj
-    if members.bit_count() < 2 * s:
-        return None
-    cand = _candidates(adj, members, s)
-    if cand.bit_count() < 2 * s:
-        return None
-
-    def grow(pool: int, chosen: int, k: int, common: int, stable_pool: int):
-        if k == s:
-            b = _smallest_stable_subset(adj, common, s, spend)
-            if b is not None:
-                return chosen, b
-            return None
-        pool &= stable_pool
-        while pool:
-            vbit = pool & -pool
-            pool ^= vbit
-            v = vbit.bit_length() - 1
-            spend()
-            ncommon = common & adj[v]
-            if ncommon.bit_count() < s:
-                continue
-            later = _second_pool(adj, pool, ncommon, s) if k == 0 else pool
-            hit = grow(later, chosen | vbit, k + 1, ncommon,
-                       stable_pool & ~adj[v] & ~vbit)
-            if hit is not None:
-                return hit
-        return None
-
-    hit = grow(cand, 0, 0, members, members)
-    if hit is None:
-        return None
-    a, b = hit
-    return BicliqueWitness(a, b, induced=True)
+    hit = _first_biclique(G.adj, G.adj, _members_of(G, members), s, spend)
+    return None if hit is None else BicliqueWitness(*hit, induced=True)
 
 
 def ramsey_extract_k44(G: Graph, w: BicliqueWitness,
@@ -759,9 +736,10 @@ def ramsey_extract_k44(G: Graph, w: BicliqueWitness,
     if w.side_a.bit_count() < 4 or w.side_b.bit_count() < 4:
         raise ValueError("seed sides must have at least 4 vertices")
     adj = G.adj
+    spend = _spender(None, "stable set search")
     picked = []
     for side, other in ((w.side_a, w.side_b), (w.side_b, w.side_a)):
-        stable = _smallest_stable_subset(adj, side, 4)
+        stable = _smallest_stable_subset(adj, side, 4, spend)
         if stable is None:
             size, clique = _max_clique_in(adj, side)
             if size >= k + 1:
@@ -834,83 +812,66 @@ def clique_number(G: Graph, *, budget: int | None = None) -> int:
     return size
 
 
+def _dsatur_pick(uncolored: int, neigh_colors, degs) -> int:
+    """DSATUR's next vertex in the uncolored mask: the most distinct
+    neighbor colors (set bits of its neighbor-color mask), then the
+    highest degree, then the lowest index."""
+    best = sat = deg = -1
+    while uncolored:
+        b = uncolored & -uncolored
+        uncolored ^= b
+        v = b.bit_length() - 1
+        vsat = neigh_colors[v].bit_count()
+        if vsat > sat or (vsat == sat and degs[v] > deg):
+            best, sat, deg = v, vsat, degs[v]
+    return best
+
+
 def _dsatur_order_color(adj, n: int) -> tuple[int, list[int]]:
     """Greedy DSATUR coloring: (palette size, colors)."""
     colors = [-1] * n
-    satur = [0] * n
     neigh_colors = [0] * n
     degs = [adj[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        best = -1
-        key = (-1, -1, 1)
-        for v in range(n):
-            if colors[v] != -1:
-                continue
-            cand = (satur[v], degs[v], -v)
-            if cand > key:
-                key = cand
-                best = v
+    uncolored = (1 << n) - 1
+    while uncolored:
+        v = _dsatur_pick(uncolored, neigh_colors, degs)
+        uncolored ^= 1 << v
         c = 0
-        used = neigh_colors[best]
+        used = neigh_colors[v]
         while (used >> c) & 1:
             c += 1
-        colors[best] = c
-        row = adj[best]
-        while row:
-            b = row & -row
-            row ^= b
-            u = b.bit_length() - 1
-            if colors[u] == -1 and not (neigh_colors[u] >> c) & 1:
-                neigh_colors[u] |= 1 << c
-                satur[u] += 1
+        colors[v] = c
+        for u in bit_list(adj[v] & uncolored):
+            neigh_colors[u] |= 1 << c
     return (max(colors) + 1 if n else 0), colors
 
 
 def _k_colorable(adj, n: int, k: int, spend) -> bool:
     """Backtracking k-colorability, DSATUR vertex order, canonical colors."""
-    colors = [-1] * n
     neigh_colors = [0] * n
-    satur = [0] * n
     degs = [adj[v].bit_count() for v in range(n)]
 
-    def rec(done: int, used: int) -> bool:
+    def rec(uncolored: int, used: int) -> bool:
         spend()
-        if done == n:
+        if not uncolored:
             return True
-        best = -1
-        key = (-1, -1, 1)
-        for v in range(n):
-            if colors[v] != -1:
+        v = _dsatur_pick(uncolored, neigh_colors, degs)
+        rest = uncolored ^ (1 << v)
+        for c in range(min(k, used + 1)):
+            cbit = 1 << c
+            if neigh_colors[v] & cbit:
                 continue
-            cand = (satur[v], degs[v], -v)
-            if cand > key:
-                key = cand
-                best = v
-        v = best
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if (neigh_colors[v] >> c) & 1:
-                continue
-            colors[v] = c
-            touched = []
-            row = adj[v]
-            while row:
-                b = row & -row
-                row ^= b
-                u = b.bit_length() - 1
-                if colors[u] == -1 and not (neigh_colors[u] >> c) & 1:
-                    neigh_colors[u] |= 1 << c
-                    satur[u] += 1
-                    touched.append(u)
-            if rec(done + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
+            touched = [u for u in bit_list(adj[v] & rest)
+                       if not neigh_colors[u] & cbit]
             for u in touched:
-                neigh_colors[u] &= ~(1 << c)
-                satur[u] -= 1
+                neigh_colors[u] |= cbit
+            if rec(rest, max(used, c + 1)):
+                return True
+            for u in touched:
+                neigh_colors[u] ^= cbit
         return False
 
-    return rec(0, 0)
+    return rec((1 << n) - 1, 0)
 
 
 def chromatic_number_exact(G: Graph, *, budget: int | None = None,

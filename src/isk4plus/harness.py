@@ -265,6 +265,9 @@ class CampaignConfig:
         if self.source == "enumerate" and self.max_n > ENUMERATION_CEILING:
             raise UsageError(
                 f"enumeration source capped at n <= {ENUMERATION_CEILING}")
+        if self.source == "enumerate" and self.min_n < 0:
+            raise UsageError(f"enumeration source needs min_n >= 0, "
+                             f"got {self.min_n}")
         if self.source in ("gnp", "triangle-free", "k44-random") and \
                 not 0 <= self.min_n <= self.max_n <= MAX_VERTICES:
             raise UsageError(

@@ -184,6 +184,29 @@ def test_bad_budget_exit_64(capsys, argv):
     assert "argument --budget" in err and "seed=" not in err
 
 
+@pytest.mark.parametrize("argv,flag,message", [
+    (("survey", "--source", "enumerate", "--min-n", "-1", "--max-n", "2"),
+     "--min-n", "min-n must be non-negative, got -1"),
+    (("verify-claims", "--max-n", "-1"),
+     "--max-n", "max-n must be non-negative, got -1"),
+    (("survey", "--count", "-5"),
+     "--count", "count must be non-negative, got -5"),
+    (("check-bounds", "--count", "many"),
+     "--count", "count must be an integer, got 'many'"),
+    (("survey", "--jobs", "-3"),
+     "--jobs", "jobs must be non-negative, got -3"),
+    (("color", "missing.g6", "--k", "-1"),
+     "--k", "clique bound must be non-negative, got -1"),
+], ids=["survey-min-n", "verify-claims-max-n", "survey-count",
+        "check-bounds-count-non-integer", "survey-jobs", "color-k"])
+def test_bad_count_exit_64(capsys, argv, flag, message):
+    # rejected while parsing: no input is read and no campaign starts
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert f"argument {flag}: {message}" in err and "seed=" not in err
+
+
 @pytest.mark.parametrize("value,message", [
     ("-1", "base size must be non-negative, got -1"),
     ("two", "base size must be an integer, got 'two'"),

@@ -25,9 +25,12 @@ from isk4plus.harness import (complete_graph, complete_multipartite,
 from util_brute import brute_chromatic_number, brute_clique_number
 from util_exhaustive import detector_agreement_stats
 from util_recognizers import is_k4_subdivision, is_k4plus_subdivision
-from util_reference_scans import (find_biclique_subgraph_scan,
+from util_reference_scans import (dsatur_order_color_scan,
+                                  find_biclique_subgraph_pool,
+                                  find_biclique_subgraph_scan,
+                                  find_induced_biclique_pool,
                                   find_induced_biclique_scan,
-                                  find_isk4plus_every_quad)
+                                  find_isk4plus_every_quad, k_colorable_scan)
 
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
 
@@ -729,10 +732,12 @@ def _count_nodes(monkeypatch):
 def test_biclique_pool_matches_full_scan(monkeypatch):
     """Offering only the common-neighbor pool as the second side-A vertex
     keeps every witness and never costs a node more than scanning every
-    later candidate."""
+    later candidate.  Growing both searches by one conflict-row grower
+    keeps the witnesses of the two hand-written pool loops, and the
+    induced search never costs a node more than its loop did."""
     count = _count_nodes(monkeypatch)
     rng = random.Random(1717)
-    found = spent = spent_scan = 0
+    found = spent = spent_loop = spent_scan = 0
     for i in range(600):
         n = rng.randint(8, 128)
         p = rng.choice([0.03, 0.05, 0.08, 0.12, 0.2, 0.35, 0.5, 0.7])
@@ -746,20 +751,26 @@ def test_biclique_pool_matches_full_scan(monkeypatch):
         members = None
         if i % 2:
             members = mask_of(v for v in range(n) if rng.random() < 0.8)
-        for s in (2, 3, 4):
+        for s in range(1, 6):
             count[0] = 0
             w = find_induced_biclique(g, s, members=members)
             nodes = count[0]
+            count[0] = 0
+            assert w == find_induced_biclique_pool(g, s, members=members)
+            assert nodes <= count[0]
+            spent_loop += count[0]
             count[0] = 0
             assert w == find_induced_biclique_scan(g, s, members=members)
             assert nodes <= count[0]
             spent, spent_scan = spent + nodes, spent_scan + count[0]
             found += w is not None
-            assert find_biclique_subgraph(g, s, members=members) == \
-                find_biclique_subgraph_scan(g, s, members=members)
-    # 1,145 of the 1,800 searches find a witness; the pool spends 360,537
-    # nodes where the full scan spends 1,217,885
-    assert found >= 1000 and 3 * spent < spent_scan
+            sub = find_biclique_subgraph(g, s, members=members)
+            assert sub == find_biclique_subgraph_pool(g, s, members=members)
+            assert sub == find_biclique_subgraph_scan(g, s, members=members)
+    # 1,743 of the 3,000 induced searches find a witness; the grower spends
+    # 780,857 nodes, the two pool loops 1,016,932 and the full scan
+    # 2,894,478
+    assert found >= 1000 and 3 * spent < spent_scan and spent < spent_loop
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +885,41 @@ def test_chromatic_budget_covers_both_searches():
         chromatic_number_exact(g, budget=20)
     # a known clique number skips the clique search and its 16 nodes
     assert chromatic_number_exact(g, budget=5, omega=2) == 3
+
+
+def test_dsatur_pick_matches_tuple_scan(monkeypatch):
+    """One bitset walk picks DSATUR's next vertex for the greedy coloring
+    and for k-colorability, and keeps the colors, verdicts and node counts
+    of the scans that compared a (saturation, degree, -index) tuple per
+    uncolored vertex."""
+    count = _count_nodes(monkeypatch)
+    rng = random.Random(3190)
+    graphs = [cycle_graph(5), complete_graph(4), petersen_graph()]
+    graphs += [gnp_graph(rng.randint(0, 40),
+                         rng.choice([0.1, 0.2, 0.3, 0.5, 0.7, 0.9]), rng)
+               for _ in range(1000)]
+    verdicts = []
+    for g in graphs:
+        adj, n = g.adj, g.n
+        assert detect._dsatur_order_color(adj, n) == \
+            dsatur_order_color_scan(adj, n)
+        for k in range(1, n + 1):
+            outcomes = []
+            for solve in (detect._k_colorable, k_colorable_scan):
+                spend = detect._spender(20_000, "k-coloring budget")
+                count[0] = 0
+                try:
+                    verdict = solve(adj, n, k, spend)
+                except SearchBudgetExceeded:
+                    verdict = BUDGET
+                outcomes.append((verdict, count[0]))
+            assert outcomes[0] == outcomes[1]
+            verdicts.append(outcomes[0][0])
+            if verdicts[-1] is True:
+                break
+    # 5,745 searches on 1,003 graphs, each run to its verdict: 980 are
+    # k-colorable and 4,765 are not
+    assert set(verdicts) == {True, False} and len(verdicts) > 5000
 
 
 def test_chromatic_with_known_omega_matches():

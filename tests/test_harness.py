@@ -6,7 +6,7 @@ import pytest
 
 from isk4plus import detect
 from isk4plus.formats import write_graph6
-from isk4plus.graph import edge_count, graph_from_edges
+from isk4plus.graph import UsageError, edge_count, graph_from_edges
 from isk4plus.harness import (CampaignConfig, check_cited_bounds,
                               complete_multipartite, cycle_graph,
                               enumerate_labeled, gnp_graph, has_triangle,
@@ -266,6 +266,9 @@ def test_config_validation():
         CampaignConfig(source="enumerate", max_n=9).validate()
     with pytest.raises(ValueError):
         CampaignConfig(filters=("nope",)).validate()
+    # a usage error, not the graph constructor's internal ValueError
+    with pytest.raises(UsageError, match="min_n >= 0, got -1"):
+        CampaignConfig(source="enumerate", min_n=-1, max_n=2).validate()
     with pytest.raises(ValueError):
         list(iter_config_graphs(CampaignConfig(source="bogus")))
 
